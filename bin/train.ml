@@ -76,20 +76,16 @@ let run_cmd set_name episodes steps seed randomized delta no_loss chaos chaos_se
     let resume_from =
       match store with
       | Some st when resume ->
-        (* A snapshot that fails verification is quarantined and
-           training restarts fresh — a torn or bit-flipped cell is
-           detected and named, never resumed from. *)
+        (* A snapshot that fails verification, parsing or the config
+           check is quarantined and training restarts fresh — a torn or
+           bit-flipped cell is detected and named, never resumed from. *)
         let snap =
-          match Exec.Checkpoint.load st ~key:ckpt_key with
-          | Exec.Checkpoint.Hit blob -> (
-            match Obs.Json.parse blob with
-            | Ok j -> Rlcc.Train.snapshot_of_json j
-            | Error _ -> None)
-          | Exec.Checkpoint.Miss -> None
-          | Exec.Checkpoint.Corrupt { path; reason } ->
-            let q = Exec.Checkpoint.quarantine st ~key:ckpt_key in
+          match Rlcc.Train.load_snapshot st ~key:ckpt_key cfg with
+          | Rlcc.Train.Loaded s -> Some s
+          | Rlcc.Train.Absent -> None
+          | Rlcc.Train.Rejected { path; reason; quarantined } ->
             Printf.eprintf "[train] CORRUPT snapshot %s (%s)%s\n%!" path reason
-              (match q with
+              (match quarantined with
               | Some qp -> Printf.sprintf "; quarantined to %s" qp
               | None -> "");
             None
@@ -106,10 +102,7 @@ let run_cmd set_name episodes steps seed randomized delta no_loss chaos chaos_se
     let on_snapshot =
       Option.map
         (fun st ~episode snap ->
-          match
-            Exec.Checkpoint.save st ~key:ckpt_key
-              (Obs.Json.to_compact (Rlcc.Train.snapshot_to_json snap))
-          with
+          match Rlcc.Train.save_snapshot st ~key:ckpt_key snap with
           | () -> Printf.eprintf "[train] snapshot after episode %d\n%!" episode
           | exception Chaos.Io.Fault { fault; path; _ } ->
             (* A failed snapshot must not kill training: the run keeps

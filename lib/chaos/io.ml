@@ -6,7 +6,10 @@
    temp file, an explicit fsync, then rename — so an interrupted or
    faulted write leaves either the previous file or an orphaned
    [.tmp], never a torn destination. (Orphans are swept by
-   [sweep_tmp]; Exec.Checkpoint runs the sweep at store open.)
+   [sweep_tmp]; Exec.Checkpoint runs the sweep at store open.) Each
+   writer (process, domain) has its own temp name, so concurrent
+   writers of one destination never truncate each other's temp file:
+   the last rename wins with a complete file.
 
    Fault injection: when a Chaos.Plane is installed, each operation
    consults it. An aborting fault (torn / enospc / eio) raises the
@@ -16,7 +19,12 @@
    layer that catches it). A torn write simulates a crash: the partial
    temp file is deliberately left behind. Enospc/eio are *errors*, not
    crashes, so their temp files are cleaned up like any well-behaved
-   caller would. *)
+   caller would.
+
+   [~plane:false] takes an operation around the installed plane: no
+   operation index, no injected fault. The policy store uses it, so
+   whether its entries are cold or warm cannot shift the fault
+   schedule of the checkpoint writes that follow. *)
 
 exception Fault of { fault : string; path : string; detail : string }
 
@@ -28,6 +36,11 @@ let () =
 
 let tmp_suffix = ".tmp"
 
+(* This writer's temp file for [path]: unique per process and domain,
+   still ending in [tmp_suffix] so the sweep recognises orphans. *)
+let tmp_path path =
+  Printf.sprintf "%s.%d.%d%s" path (Unix.getpid ()) (Domain.self () :> int) tmp_suffix
+
 let raise_fault ~fault ~path ~detail =
   Plane.note_surfaced ();
   raise (Fault { fault; path; detail })
@@ -36,10 +49,10 @@ let fsync_out oc =
   try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
 
 (* Write [contents] to [path] atomically, applying any injected fault. *)
-let write_file ?(atomic = true) path contents =
+let write_file ?(atomic = true) ?(plane = true) path contents =
   let len = String.length contents in
-  let dest = if atomic then path ^ tmp_suffix else path in
-  match Plane.on_write ~len with
+  let dest = if atomic then tmp_path path else path in
+  match if plane then Plane.on_write ~len else None with
   | Some Plane.W_enospc ->
     raise_fault ~fault:"enospc" ~path
       ~detail:(Printf.sprintf "disk full before %d byte(s)" len)
@@ -78,12 +91,12 @@ let write_file ?(atomic = true) path contents =
        if atomic then (try Sys.remove dest with Sys_error _ -> ());
        raise e);
     if atomic then Sys.rename dest path;
-    Plane.note_written len
+    if plane then Plane.note_written len
 
 (* Read [path] entirely; [None] when it doesn't exist. Injected read
    faults raise {!Fault} (structured), never a bare exception. *)
-let read_file path =
-  (match Plane.on_read () with
+let read_file ?(plane = true) path =
+  (match if plane then Plane.on_read () else None with
   | Some `Eio -> raise_fault ~fault:"eio" ~path ~detail:"injected read error"
   | None -> ());
   match open_in_bin path with

@@ -17,7 +17,7 @@
    {!Corrupt}, to be quarantined with {!quarantine} and re-executed by
    the caller — never served silently. *)
 
-type store = { dir : string; swept : int }
+type store = { dir : string; swept : int; plane : bool }
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
@@ -29,7 +29,9 @@ let create ~dir =
   mkdir_p dir;
   (* Startup sweep: remove temp files orphaned by a mid-write kill so
      they can't accumulate across crashy runs. *)
-  { dir; swept = Chaos.Io.sweep_tmp dir }
+  { dir; swept = Chaos.Io.sweep_tmp dir; plane = true }
+
+let off_plane s = { s with plane = false }
 
 let dir s = s.dir
 let swept s = s.swept
@@ -48,7 +50,7 @@ type lookup =
          cause; the cell must be quarantined and re-executed *)
 
 let load s ~key =
-  match Io.read_record (path s ~key) with
+  match Io.read_record ~plane:s.plane (path s ~key) with
   | Io.Hit payload -> Hit payload
   | Io.Miss -> Miss
   | Io.Corrupt c ->
@@ -58,7 +60,7 @@ let load s ~key =
         reason = Printf.sprintf "at byte %d: %s" c.Io.offset c.Io.reason;
       }
 
-let save s ~key contents = Io.write_record ~path:(path s ~key) contents
+let save s ~key contents = Io.write_record ~plane:s.plane ~path:(path s ~key) contents
 
 let mem s ~key = Sys.file_exists (path s ~key)
 

@@ -17,6 +17,11 @@ type store
     sweeping any orphaned temp files a crash left behind. *)
 val create : dir:string -> store
 
+(** The same store with its loads and saves taken around the installed
+    [Chaos.Plane]: no operation indices, no injected faults. Corrupt
+    detections still count. *)
+val off_plane : store -> store
+
 val dir : store -> string
 
 (** How many orphaned temp files the opening sweep removed. *)

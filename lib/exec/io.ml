@@ -59,13 +59,13 @@ let unseal ~path s =
             fail body_off "checksum mismatch (payload corrupt)"
           else Ok payload)
 
-let write_record ~path payload = Chaos.Io.write_file path (seal payload)
+let write_record ?plane ~path payload = Chaos.Io.write_file ?plane path (seal payload)
 
 (* Read + verify. Detections are counted on the host-fault accounting
    plane (they drive exit code 6) whether or not chaos is installed —
    real disks corrupt bytes without being asked. *)
-let read_record path =
-  match Chaos.Io.read_file path with
+let read_record ?plane path =
+  match Chaos.Io.read_file ?plane path with
   | None -> Miss
   | Some s -> (
     match unseal ~path s with

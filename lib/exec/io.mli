@@ -27,11 +27,13 @@ val seal : string -> string
 val unseal : path:string -> string -> (string, corrupt) result
 
 (** [write_record ~path payload] atomically writes the sealed record
-    (raises [Chaos.Io.Fault] under an injected host fault). *)
-val write_record : path:string -> string -> unit
+    (raises [Chaos.Io.Fault] under an injected host fault). With
+    [~plane:false] (here and in {!read_record}) the operation bypasses
+    the installed [Chaos.Plane]. *)
+val write_record : ?plane:bool -> path:string -> string -> unit
 
 (** Read and verify a record. [Miss] when the file doesn't exist;
     [Corrupt] (counted on [Chaos.Plane]'s detection counter) when the
     envelope fails verification. Raises [Chaos.Io.Fault] only for an
     injected read fault. *)
-val read_record : string -> read_result
+val read_record : ?plane:bool -> string -> read_result

@@ -484,6 +484,46 @@ let snapshot_of_json j =
       }
   | _ -> None
 
+let snapshot_next s = s.snap_next
+
+(* ---- sealed snapshots in a checkpoint store ----
+
+   The one loader for persisted snapshots (`train --resume` and the
+   Pretrained policy store): verify the envelope, parse, and check the
+   snapshot against [cfg] exactly as [run ~resume_from] would, so a
+   [Loaded] snapshot can never make [run] raise. Anything that fails a
+   step is quarantined and counted as a corrupt detection. *)
+
+type loaded =
+  | Loaded of snapshot
+  | Absent
+  | Rejected of { path : string; reason : string; quarantined : string option }
+
+let load_snapshot store ~key cfg =
+  let reject path reason =
+    Rejected { path; reason; quarantined = Exec.Checkpoint.quarantine store ~key }
+  in
+  match Exec.Checkpoint.load store ~key with
+  | Exec.Checkpoint.Miss -> Absent
+  | Exec.Checkpoint.Corrupt { path; reason } -> reject path reason
+  | Exec.Checkpoint.Hit blob -> (
+    let bad reason =
+      Chaos.Plane.note_corrupt_detected ();
+      reject (Exec.Checkpoint.path store ~key) reason
+    in
+    match Option.bind (Result.to_option (Obs.Json.parse blob)) snapshot_of_json with
+    | None -> bad "sealed payload is not a training snapshot"
+    | Some s when s.snap_key <> config_key cfg ->
+      bad (Printf.sprintf "snapshot of another configuration (%s)" s.snap_key)
+    | Some s when s.snap_next > cfg.episodes ->
+      bad
+        (Printf.sprintf "snapshot at episode %d beyond the configured %d" s.snap_next
+           cfg.episodes)
+    | Some s -> Loaded s)
+
+let save_snapshot store ~key s =
+  Exec.Checkpoint.save store ~key (Obs.Json.to_compact (snapshot_to_json s))
+
 (* Smoothed learning curve for plotting (moving average). *)
 let smooth ?(window = 10) curve =
   Array.mapi

@@ -45,6 +45,28 @@ val snapshot_to_json : snapshot -> Obs.Json.t
 (** [None] on shape mismatch (incompatible or torn snapshot). *)
 val snapshot_of_json : Obs.Json.t -> snapshot option
 
+(** The first episode a resume from this snapshot runs; [episodes]
+    for the final snapshot of a finished run. *)
+val snapshot_next : snapshot -> int
+
+type loaded =
+  | Loaded of snapshot
+  | Absent  (** no record under the key *)
+  | Rejected of { path : string; reason : string; quarantined : string option }
+      (** failed verification, parsing or the config check; counted as
+          a corrupt detection and moved aside to [quarantined] *)
+
+(** [load_snapshot store ~key cfg] is the one loader for persisted
+    snapshots: verify the sealed record, parse it, and check it against
+    [cfg] as {!run}'s [resume_from] would, so a [Loaded] snapshot never
+    makes {!run} raise. Raises [Chaos.Io.Fault] only for an injected
+    read fault. *)
+val load_snapshot : Exec.Checkpoint.store -> key:string -> config -> loaded
+
+(** Seal [s] into [store] under [key] (raises [Chaos.Io.Fault] under an
+    injected host fault, [Sys_error] on a host I/O error). *)
+val save_snapshot : Exec.Checkpoint.store -> key:string -> snapshot -> unit
+
 (** [run cfg] trains a policy. Each PPO update is followed by a
     divergence guard that rolls NaN/Inf parameters back to the last
     finite state (counted in [outcome.rollbacks], emitting a [harness]

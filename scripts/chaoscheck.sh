@@ -14,11 +14,19 @@
 #       the clean run byte-for-byte,
 #   (c) the failure reports and exit codes name the injected fault
 #       class (torn / flip->corrupt / enospc / eio / kill-domain).
+# The policy-store leg holds the store to the same contracts: cold,
+# warm and corrupted stores all render clean stdout, a flipped entry is
+# named CORRUPT, quarantined and resealed, and the chaos plane never
+# touches store writes.
 set -eu
 
 EXE="$1"
 WORK="${2:-$(mktemp -d "${TMPDIR:-/tmp}/libra-chaoscheck.XXXXXX")}"
 mkdir -p "$WORK"
+
+# Every leg gets a store under $WORK, so the matrix is hermetic.
+LIBRA_POLICY_DIR="$WORK/policies"
+export LIBRA_POLICY_DIR
 
 # Same subset as faultcheck: robust-mini pins its own duration, fig17
 # covers the learned-CCA path; together they fan out enough pool tasks
@@ -134,6 +142,52 @@ esac
 grep -q "resurrected=" "$WORK/kill4.err" \
   || fail "kill run reported no resurrections"
 
+# ---- policy store: none, cold, warm, one flipped byte, healed; at 1
+#      and 4 domains, stdout always the clean reference ----
+for d in 1 4; do
+  LIBRA_POLICY_DIR=""
+  run store_none$d 0 --domains "$d"
+  same_stdout store_none$d clean1
+  LIBRA_POLICY_DIR="$WORK/policies-d$d"
+  run store_cold$d 0 --domains "$d"
+  same_stdout store_cold$d clean1
+  grep -q "^\[policy\] miss" "$WORK/store_cold$d.err" \
+    || fail "cold store at --domains $d did not train and seal"
+  run store_warm$d 0 --domains "$d"
+  same_stdout store_warm$d clean1
+  grep -q "^\[policy\] hit" "$WORK/store_warm$d.err" \
+    || fail "warm store at --domains $d was not hit"
+  if grep -qE "^\[policy\] (miss|corrupt)" "$WORK/store_warm$d.err"; then
+    fail "warm store at --domains $d retrained"
+  fi
+  entry=$(ls "$LIBRA_POLICY_DIR"/*.ckpt | head -1)
+  printf '#' | dd of="$entry" bs=1 seek=200 count=1 conv=notrunc 2>/dev/null
+  run store_flip$d 6 --domains "$d"
+  same_stdout store_flip$d clean1
+  grep -q "CORRUPT" "$WORK/store_flip$d.err" \
+    || fail "flipped store entry at --domains $d was not reported as CORRUPT"
+  ls "$LIBRA_POLICY_DIR"/*.corrupt >/dev/null 2>&1 \
+    || fail "flipped store entry at --domains $d was not quarantined"
+  run store_healed$d 0 --domains "$d"
+  same_stdout store_healed$d clean1
+  if grep -qE "^\[policy\] (miss|corrupt)" "$WORK/store_healed$d.err"; then
+    fail "resealed store at --domains $d was not hit"
+  fi
+done
+
+# ---- the chaos plane never touches store writes: flip every
+#      checkpoint write on a cold store; the sealed entry still verifies
+LIBRA_POLICY_DIR="$WORK/policies-chaos"
+run store_chaos 0 --domains 1 --checkpoint "$WORK/ck-store" --chaos flip:p=1
+same_stdout store_chaos clean1
+grep -q "injected: torn=0 flip=[1-9]" "$WORK/store_chaos.err" \
+  || fail "flip:p=1 injected no flips into the checkpoint writes"
+run store_chaos_warm 0 --domains 1
+same_stdout store_chaos_warm clean1
+grep -q "^\[policy\] hit" "$WORK/store_chaos_warm.err" \
+  || fail "store entry written under --chaos flip:p=1 does not verify"
+
 echo "chaoscheck: ok (torn swept+resumed, flip detected+quarantined," \
   "enospc/eio structured, truncation positioned, kills healed" \
-  "size-independently; every recovery byte-identical to clean)"
+  "size-independently; policy store cold/warm/corrupt/healed and" \
+  "outside the plane; every recovery byte-identical to clean)"

@@ -185,16 +185,44 @@ let test_write_faults_are_structured () =
   with_plane "torn:p=1,keep=0.5" (fun () ->
       expect_fault "torn" (fun () -> Chaos.Io.write_file path "0123456789");
       check_bool "torn leaves the orphan, not the destination" true
-        (Sys.file_exists (path ^ ".tmp") && not (Sys.file_exists path));
+        (Sys.file_exists (Chaos.Io.tmp_path path) && not (Sys.file_exists path));
       check_int "surfaced count drives exit 6" 1 (Chaos.Plane.surfaced ()));
-  Sys.remove (path ^ ".tmp");
+  Sys.remove (Chaos.Io.tmp_path path);
   with_plane "enospc:after=0" (fun () ->
       expect_fault "enospc" (fun () -> Chaos.Io.write_file path "0123456789");
       check_bool "enospc leaves nothing behind" true
-        ((not (Sys.file_exists path)) && not (Sys.file_exists (path ^ ".tmp"))));
+        ((not (Sys.file_exists path)) && not (Sys.file_exists (Chaos.Io.tmp_path path))));
   with_plane "eio:p=1" (fun () ->
       expect_fault "eio" (fun () -> Chaos.Io.write_file path "0123456789");
       expect_fault "eio" (fun () -> ignore (Chaos.Io.read_file path)))
+
+(* Writers of one destination each use their own temp file: two
+   domains saving one key 50 times each never publish a torn record and
+   never fail a rename, and every load meanwhile and after is a Hit
+   with the saved bytes. *)
+let test_concurrent_writers_one_key () =
+  let store = Exec.Checkpoint.create ~dir:(temp_dir ()) in
+  let key = Exec.Checkpoint.key ~parts:[ "policy"; "shared" ] in
+  let payload = String.init 100_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  let writer () =
+    for _ = 1 to 50 do
+      Exec.Checkpoint.save store ~key payload
+    done
+  in
+  let loads_ok = ref true in
+  Exec.Checkpoint.save store ~key payload;
+  let writers = List.init 2 (fun _ -> Domain.spawn writer) in
+  for _ = 1 to 20 do
+    match Exec.Checkpoint.load store ~key with
+    | Exec.Checkpoint.Hit p when p = payload -> ()
+    | _ -> loads_ok := false
+  done;
+  List.iter Domain.join writers;
+  check_bool "loads during the writes are hits" true !loads_ok;
+  (match Exec.Checkpoint.load store ~key with
+  | Exec.Checkpoint.Hit p -> check_bool "identical bytes" true (p = payload)
+  | _ -> Alcotest.fail "concurrently written record is not a hit");
+  check_int "no temp file left" 0 (Chaos.Io.sweep_tmp (Exec.Checkpoint.dir store))
 
 let test_flip_caught_by_verify_on_read () =
   let dir = temp_dir () in
@@ -464,6 +492,8 @@ let () =
           Alcotest.test_case "sweeps orphaned tmp" `Quick test_sweep_orphaned_tmp;
           Alcotest.test_case "structured write faults" `Quick
             test_write_faults_are_structured;
+          Alcotest.test_case "concurrent writers, one key" `Quick
+            test_concurrent_writers_one_key;
           Alcotest.test_case "flip caught on read" `Quick
             test_flip_caught_by_verify_on_read;
           Alcotest.test_case "quarantine" `Quick

@@ -417,6 +417,207 @@ let test_pretrained_failed_fill_retries () =
   check_int "second call retrained cleanly" 2
     (Array.length outcome.Rlcc.Train.episode_rewards)
 
+(* ------------------------------------------------------------------ *)
+(* Policy store *)
+
+let temp_dir =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "libra-policies-%d-%d" (Unix.getpid ()) !n)
+    in
+    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    dir
+
+(* Point the store at [dir] ("" = no store) for the extent of [f]. The
+   stdlib cannot unset a variable, so an unset one comes back empty: no
+   store for the rest of this binary. *)
+let with_store dir f =
+  let saved = Sys.getenv_opt "LIBRA_POLICY_DIR" in
+  Unix.putenv "LIBRA_POLICY_DIR" dir;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "LIBRA_POLICY_DIR" (Option.value saved ~default:""))
+    f
+
+(* Every bit of an outcome (Marshal keeps floats exact). *)
+let outcome_bits (o : Rlcc.Train.outcome) =
+  Marshal.to_string
+    ( Rlcc.Ppo.snapshot o.Rlcc.Train.policy,
+      o.Rlcc.Train.episode_rewards,
+      (o.Rlcc.Train.final_throughput, o.Rlcc.Train.final_rtt, o.Rlcc.Train.final_loss),
+      o.Rlcc.Train.rollbacks )
+    []
+
+let source =
+  Alcotest.testable
+    (fun ppf s ->
+      Format.pp_print_string ppf
+        (match s with
+        | Rlcc.Pretrained.Hit -> "hit"
+        | Rlcc.Pretrained.Miss -> "miss"
+        | Rlcc.Pretrained.Corrupt -> "corrupt"
+        | Rlcc.Pretrained.No_store -> "no-store"))
+    ( = )
+
+let small_cfg ?(seed = 311) state_set action =
+  {
+    Rlcc.Train.default_config with
+    Rlcc.Train.state_set;
+    action;
+    env_mode = `Randomized;
+    episodes = 3;
+    steps_per_episode = 24;
+    seed;
+  }
+
+let libra_cfg = small_cfg Rlcc.Features.libra Rlcc.Actions.Mimd_orca
+let aurora_cfg = small_cfg ~seed:313 Rlcc.Features.aurora (Rlcc.Actions.Mimd_aurora 5.0)
+
+(* A loaded policy is the freshly trained one, bit for bit, and loading
+   it runs no NN forward. *)
+let test_store_hit_bit_identical () =
+  with_store (temp_dir ()) (fun () ->
+      List.iter
+        (fun cfg ->
+          let fresh = outcome_bits (Rlcc.Train.run cfg) in
+          let cold, s1 = Rlcc.Pretrained.acquire cfg in
+          Alcotest.check source "cold store misses" Rlcc.Pretrained.Miss s1;
+          let f0 = Rlcc.Nn.forward_count () in
+          let warm, s2 = Rlcc.Pretrained.acquire cfg in
+          Alcotest.check source "warm store hits" Rlcc.Pretrained.Hit s2;
+          check_int "a hit runs no forward" 0 (Rlcc.Nn.forward_count () - f0);
+          check_bool "fill bit-identical to Train.run" true (outcome_bits cold = fresh);
+          check_bool "load bit-identical to Train.run" true (outcome_bits warm = fresh))
+        [ libra_cfg; aurora_cfg ])
+
+(* Entries are keyed by code identity and configuration: neither
+   another build's nor another configuration's entry is ever served. *)
+let test_store_keyed_by_code_and_config () =
+  with_store (temp_dir ()) (fun () ->
+      let acquire ?(cfg = libra_cfg) code_id = snd (Rlcc.Pretrained.acquire ~code_id cfg) in
+      Alcotest.check source "first build fills" Rlcc.Pretrained.Miss (acquire "build-a");
+      Alcotest.check source "same build hits" Rlcc.Pretrained.Hit (acquire "build-a");
+      Alcotest.check source "other build misses" Rlcc.Pretrained.Miss (acquire "build-b");
+      Alcotest.check source "other config misses" Rlcc.Pretrained.Miss
+        (acquire ~cfg:{ libra_cfg with Rlcc.Train.seed = 312 } "build-a"))
+
+(* A corrupt or wrong-key entry is quarantined, counted and retrained —
+   never served, and never an escaping Invalid_argument. *)
+let test_store_corrupt_quarantined () =
+  let dir = temp_dir () in
+  with_store dir (fun () ->
+      let other = { libra_cfg with Rlcc.Train.seed = 314 } in
+      ignore (Rlcc.Pretrained.acquire ~code_id:"c" libra_cfg);
+      ignore (Rlcc.Pretrained.acquire ~code_id:"c" other);
+      let entry cfg =
+        Filename.concat dir
+          (Exec.Checkpoint.key ~parts:[ "policy"; Rlcc.Train.config_key cfg; "c" ] ^ ".ckpt")
+      in
+      let read p = In_channel.with_open_bin p In_channel.input_all in
+      let write p s = Out_channel.with_open_bin p (fun oc -> output_string oc s) in
+      let expect_corrupt what =
+        let before = Chaos.Plane.corrupt_detected () in
+        let o, s = Rlcc.Pretrained.acquire ~code_id:"c" libra_cfg in
+        Alcotest.check source (what ^ ": corrupt") Rlcc.Pretrained.Corrupt s;
+        check_int (what ^ ": detection counted") (before + 1) (Chaos.Plane.corrupt_detected ());
+        check_bool (what ^ ": quarantined") true (Sys.file_exists (entry libra_cfg ^ ".corrupt"));
+        check_bool (what ^ ": retrained bit-identically") true
+          (outcome_bits o = outcome_bits (Rlcc.Train.run libra_cfg));
+        Alcotest.check source (what ^ ": resealed") Rlcc.Pretrained.Hit
+          (snd (Rlcc.Pretrained.acquire ~code_id:"c" libra_cfg))
+      in
+      let good = read (entry libra_cfg) in
+      let flipped = Bytes.of_string good in
+      Bytes.set flipped 200 (Char.chr (Char.code good.[200] lxor 1));
+      write (entry libra_cfg) (Bytes.to_string flipped);
+      expect_corrupt "bit flip";
+      write (entry libra_cfg) (read (entry other));
+      expect_corrupt "wrong key";
+      write (entry libra_cfg) (Exec.Io.seal "{\"train_snapshot\": 2}");
+      expect_corrupt "unparseable")
+
+(* No store ("" or a path that cannot be a directory) and a failing save
+   both train and return the same outcome. *)
+let test_store_unusable_trains () =
+  let fresh = outcome_bits (Rlcc.Train.run libra_cfg) in
+  let check what dir want =
+    with_store dir (fun () ->
+        let o, s = Rlcc.Pretrained.acquire libra_cfg in
+        Alcotest.check source what want s;
+        check_bool (what ^ ": same outcome") true (outcome_bits o = fresh))
+  in
+  check "empty setting" "" Rlcc.Pretrained.No_store;
+  let file = Filename.concat (temp_dir ()) "plain-file" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+  check "uncreatable dir" (Filename.concat file "policies") Rlcc.Pretrained.No_store;
+  (* A directory squatting on the entry's path makes the save fail. *)
+  let dir = temp_dir () in
+  Unix.mkdir
+    (Filename.concat dir
+       (Exec.Checkpoint.key ~parts:[ "policy"; Rlcc.Train.config_key libra_cfg; "d" ]
+       ^ ".ckpt"))
+    0o755;
+  with_store dir (fun () ->
+      let o, _ = Rlcc.Pretrained.acquire ~code_id:"d" libra_cfg in
+      check_bool "failed save: same outcome" true (outcome_bits o = fresh))
+
+(* A hit charges the fill's budget ticks: deadlines expire at the same
+   tick, and a full acquisition spends the same budget, cold or warm. *)
+let test_store_budget_equivalence () =
+  with_store (temp_dir ()) (fun () ->
+      let spend events =
+        match
+          Netsim.Budget.with_budget ~events (fun () ->
+              ignore (Rlcc.Pretrained.acquire ~code_id:"e" libra_cfg);
+              Netsim.Budget.spent ())
+        with
+        | spent -> `Spent spent
+        | exception Netsim.Budget.Exceeded { spent; budget } -> `Exceeded (spent, budget)
+      in
+      let dies_cold = spend 30 in
+      check_bool "cold fill dies on the deadline" true (dies_cold = `Exceeded (31, 30));
+      let full_cold = spend 1_000 in
+      let full_warm = spend 1_000 in
+      check_bool "warm spends what the fill spent" true
+        (full_cold = full_warm && full_cold = `Spent (Some 72));
+      check_bool "warm dies on the same tick" true (spend 30 = dies_cold))
+
+(* The one snapshot loader (train --resume): a sealed record that does
+   not parse, or that snapshots another configuration, is rejected and
+   quarantined — never Loaded, never an Invalid_argument from run. *)
+let test_load_snapshot_rejects () =
+  let cfg =
+    { Rlcc.Train.default_config with Rlcc.Train.episodes = 2; steps_per_episode = 10; seed = 97 }
+  in
+  let store = Exec.Checkpoint.create ~dir:(temp_dir ()) in
+  let key = "k" in
+  let snap = ref None in
+  ignore (Rlcc.Train.run ~snapshot_every:1 ~on_snapshot:(fun ~episode:_ s -> snap := Some s) cfg);
+  Rlcc.Train.save_snapshot store ~key (Option.get !snap);
+  (match Rlcc.Train.load_snapshot store ~key cfg with
+  | Rlcc.Train.Loaded s -> check_int "final snapshot" 2 (Rlcc.Train.snapshot_next s)
+  | _ -> Alcotest.fail "sealed snapshot not loaded");
+  let rejected what =
+    match Rlcc.Train.load_snapshot store ~key cfg with
+    | Rlcc.Train.Rejected { quarantined = Some _; _ } ->
+      check_bool (what ^ ": key reads as absent") true
+        (Rlcc.Train.load_snapshot store ~key cfg = Rlcc.Train.Absent)
+    | _ -> Alcotest.fail (what ^ ": not rejected and quarantined")
+  in
+  Exec.Checkpoint.save store ~key "not json";
+  rejected "unparseable";
+  Rlcc.Train.save_snapshot store ~key (Option.get !snap);
+  (match Rlcc.Train.load_snapshot store ~key { cfg with Rlcc.Train.seed = 98 } with
+  | Rlcc.Train.Rejected _ -> ()
+  | _ -> Alcotest.fail "other configuration's snapshot not rejected");
+  Rlcc.Train.save_snapshot store ~key (Option.get !snap);
+  match Rlcc.Train.load_snapshot store ~key { cfg with Rlcc.Train.episodes = 1 } with
+  | Rlcc.Train.Rejected _ -> ()
+  | _ -> Alcotest.fail "snapshot beyond the configured episodes not rejected"
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -474,5 +675,15 @@ let () =
             test_resume_rejects_other_config;
           Alcotest.test_case "cache not poisoned" `Quick
             test_pretrained_failed_fill_retries;
+          Alcotest.test_case "snapshot loader rejects" `Quick test_load_snapshot_rejects;
+        ] );
+      ( "policy store",
+        [
+          Alcotest.test_case "hit bit-identical" `Quick test_store_hit_bit_identical;
+          Alcotest.test_case "keyed by code and config" `Quick
+            test_store_keyed_by_code_and_config;
+          Alcotest.test_case "corrupt quarantined" `Quick test_store_corrupt_quarantined;
+          Alcotest.test_case "unusable store trains" `Quick test_store_unusable_trains;
+          Alcotest.test_case "budget equivalence" `Quick test_store_budget_equivalence;
         ] );
     ]
