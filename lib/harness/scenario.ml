@@ -104,29 +104,8 @@ type outcome = {
   summary : Netsim.Network.summary;
 }
 
-(* Run [n_flows] copies of one CCA for [duration]; all flows start at 0.
-   [engine] selects the closure engine (default) or the arena
-   [Flow_table] engine — the two produce byte-identical summaries. *)
-let run_uniform ?(seed = 1) ?(n_flows = 1) ?(engine = `Legacy) ~factory
-    ~duration spec =
-  let flows =
-    List.init n_flows (fun i ->
-        {
-          Netsim.Network.cca = factory ~seed:(seed + (1000 * i));
-          start_at = 0.0;
-          stop_at = duration;
-          rtt = spec.rtt;
-        })
-  in
-  let runner =
-    match engine with
-    | `Legacy -> Netsim.Network.run
-    | `Arena -> Netsim.Network.run_arena
-  in
-  let summary =
-    runner ~seed ~dup_thresh:spec.dup_thresh ?faults:(faults_of spec)
-      ~link:(link_of spec) ~flows ~duration ()
-  in
+(* Reduce a run's summary to the four figures the experiments report. *)
+let outcome ~duration (summary : Netsim.Network.summary) =
   let stats = List.map (fun f -> f.Netsim.Network.stats) summary.Netsim.Network.flows in
   let delays = List.filter_map (fun s ->
       let d = Netsim.Flow_stats.mean_rtt s in
@@ -154,6 +133,29 @@ let run_uniform ?(seed = 1) ?(n_flows = 1) ?(engine = `Legacy) ~factory
     summary;
   }
 
+(* Two (or more) heterogeneous flows with individual start times;
+   returns the raw summary for fairness/convergence analysis. Flow i's
+   CCA is built with seed [seed + 1000 * i]. *)
+let run_mixed ?(seed = 1) ~flows ~duration spec =
+  let flows =
+    List.mapi
+      (fun i (factory, start_at) ->
+        {
+          Netsim.Network.cca = factory ~seed:(seed + (1000 * i));
+          start_at;
+          stop_at = duration;
+          rtt = spec.rtt;
+        })
+      flows
+  in
+  Netsim.Network.run ~seed ~dup_thresh:spec.dup_thresh ?faults:(faults_of spec)
+    ~link:(link_of spec) ~flows ~duration ()
+
+(* Run [n_flows] copies of one CCA for [duration]; all flows start at 0. *)
+let run_uniform ?(seed = 1) ?(n_flows = 1) ~factory ~duration spec =
+  outcome ~duration
+    (run_mixed ~seed ~flows:(List.init n_flows (fun _ -> (factory, 0.0))) ~duration spec)
+
 (* Average an outcome over [runs] seeds. Each repetition is an isolated,
    seed-deterministic simulation, so they fan out across the pool; the
    averages fold in seed order, keeping the result bit-identical to a
@@ -171,23 +173,6 @@ let averaged ?pool ?(base_seed = 1) ~runs ~factory ~duration spec =
     avg (fun o -> o.mean_delay),
     avg (fun o -> o.loss_rate),
     avg (fun o -> o.throughput) )
-
-(* Two (or more) heterogeneous flows with individual start times;
-   returns the raw summary for fairness/convergence analysis. *)
-let run_mixed ?(seed = 1) ~flows ~duration spec =
-  let flows =
-    List.mapi
-      (fun i (factory, start_at) ->
-        {
-          Netsim.Network.cca = factory ~seed:(seed + (1000 * i));
-          start_at;
-          stop_at = duration;
-          rtt = spec.rtt;
-        })
-      flows
-  in
-  Netsim.Network.run ~seed ~dup_thresh:spec.dup_thresh ?faults:(faults_of spec)
-    ~link:(link_of spec) ~flows ~duration ()
 
 (* Steady-state throughput share of flow 0 vs the rest (Fig. 13's
    normalised throughput ratio), measured over the second half. *)

@@ -1,30 +1,28 @@
-(* Arena flow engine: the struct-of-arrays twin of [Flow].
+(* Arena flow engine: the simulator's only sender/receiver model.
 
-   [Flow] allocates one record, one stats record, one RTT tracker and a
-   queue of [outstanding] records per flow, and every scheduling step
-   captures a fresh closure. That is fine for a handful of long flows
-   but dominates both time and memory once a run carries thousands of
-   short flows (the population traffic model). Here a flow is an int
-   handle into preallocated typed arrays: float state lives in flat
-   float arrays (loads/stores stay unboxed), int state in int arrays,
-   and all scheduling goes through coded events ([Sim.at_coded]), so
-   the steady-state ACK path allocates nothing on the minor heap when
-   tracing is off. The events-per-sec bench asserts that contract with
-   [Gc.counters].
+   A flow is an int handle into preallocated typed arrays: float state
+   lives in flat float arrays (loads/stores stay unboxed), int state in
+   int arrays, and all scheduling goes through coded events
+   ([Sim.at_coded]) instead of captured closures, so the steady-state
+   ACK path allocates nothing on the minor heap when tracing is off.
+   The events-per-sec bench asserts that contract with [Gc.counters].
 
-   Behavior mirrors [Flow] expression for expression -- versioned send
-   and RTO invalidation, the three-pass dup-ACK accounting, the RTT
-   EWMA formulas, the pacing floor -- and every event is pushed in the
-   same order at the same simulated time, so a [Generic] arena run is
-   byte-identical to the closure engine under the same seed (the
-   equivalence test in test_population holds this line).
+   The sender paces packets at the CCA's pacing rate, capped by its
+   window. Loss detection is dup-ACK counting: an outstanding packet is
+   declared lost once [dup_thresh] ACKs for higher sequences have
+   arrived. On an unimpaired FIFO bottleneck ACKs arrive in order, so
+   [dup_thresh = 1] (the default) is exact gap detection; fault-injected
+   paths that reorder (lib/faults) want a TCP-style 3. A versioned
+   retransmission timeout covers tail losses. Lost data is not
+   retransmitted -- flows model infinite (or sized) sources and goodput
+   is what is measured, as in the paper's emulation.
 
    Outstanding packets per flow form a ring over parallel arrays.
    Because sequence numbers are consecutive, the entry for sequence [s]
    sits at logical index [s - head_seq]: an ACK resolves its packet in
-   O(1) and the dup-ACK scan touches only the true gap, where [Flow]
-   walks the whole queue per ACK (O(inflight) -- quadratic pain under
-   deep buffers). *)
+   O(1) and the dup-ACK scan touches only the true gap, never the whole
+   window (which would be O(inflight) per ACK -- quadratic under deep
+   buffers). *)
 
 type cca = Aimd | Rate of float | Generic of Cca.t
 
@@ -55,7 +53,6 @@ type t = {
   mutable srtt : float array;
   mutable rttvar : float array;
   mutable minrtt : float array;
-  mutable lastrtt : float array;
   mutable cwnd : float array;  (* native AIMD state *)
   mutable ssthresh : float array;
   mutable fixed_rate : float array;  (* Rate flows, bytes/s *)
@@ -81,8 +78,8 @@ type t = {
   mutable head_seq : int array;
   mutable out_len : int array;
   mutable out_off : int array;
-  mutable out_sent : float array array;  (* sent_at *)
-  mutable out_das : int array array;  (* delivered_at_send *)
+  mutable out_sent : float array array;  (* send time *)
+  mutable out_das : int array array;  (* delivered bytes at send *)
   mutable out_dup : int array array;  (* dup-ACK count *)
   mutable out_res : int array array;  (* resolved flag (0/1) *)
   (* Cold per-flow objects. *)
@@ -91,14 +88,17 @@ type t = {
 }
 
 (* Observability probes (no-ops unless a registry is attached). *)
-let m_acks = Obs.Metrics.counter "netsim.arena.acks"
-let m_lost = Obs.Metrics.counter "netsim.arena.lost_pkts"
+let m_acks = Obs.Metrics.counter "netsim.flow.acks"
+let m_lost = Obs.Metrics.counter "netsim.flow.lost_pkts"
 let m_rtt =
-  Obs.Metrics.histogram "netsim.arena.rtt_s"
+  Obs.Metrics.histogram "netsim.flow.rtt_s"
     ~bounds:[| 0.01; 0.025; 0.05; 0.1; 0.2; 0.4; 0.8; 1.6 |]
 
 let dummy_cca = Cca.constant_rate 0.0
-let dummy_stats = lazy (Flow_stats.create ~bin:1.0 ~initial_bins:1 ())
+(* Array filler, never written. Built eagerly, not lazily: tables are
+   created concurrently on pool domains, and a [Lazy.t] forced from two
+   domains at once raises [CamlinternalLazy.Undefined]. *)
+let dummy_stats = Flow_stats.create ~bin:1.0 ~initial_bins:1 ()
 
 let sim t = t.sim
 let flow_count t = t.n
@@ -142,7 +142,6 @@ let[@inline] rtt_observe t h rtt =
     t.srtt.(h) <- ((1.0 -. alpha) *. t.srtt.(h)) +. (alpha *. rtt)
   end;
   if rtt < t.minrtt.(h) then t.minrtt.(h) <- rtt;
-  t.lastrtt.(h) <- rtt;
   t.samples.(h) <- t.samples.(h) + 1
 
 let[@inline] rto_timeout t h =
@@ -161,7 +160,7 @@ let[@inline] pacing_of t h ~now =
   match t.kind.(h) with
   | 0 ->
     (* AIMD paces at twice cwnd per smoothed RTT so sending stays
-       ACK-clocked (window-limited), matching the closure mirror. *)
+       ACK-clocked (window-limited). *)
     let srtt = if t.samples.(h) = 0 then 0.1 else t.srtt.(h) in
     2.0 *. t.cwnd.(h) *. float_of_int t.pkt_size.(h) /. srtt
   | 1 -> t.fixed_rate.(h)
@@ -230,7 +229,7 @@ let[@inline] ring_push t h ~now ~das =
   t.out_res.(h).(p) <- 0;
   t.out_len.(h) <- t.out_len.(h) + 1
 
-(* Drop resolved entries at the ring front (Flow's pass 3). *)
+(* Drop resolved entries at the ring front (ACK pass 3). *)
 let rec trim t h =
   if t.out_len.(h) > 0 && t.out_res.(h).(t.out_off.(h)) = 1 then begin
     let mask = Array.length t.out_res.(h) - 1 in
@@ -240,10 +239,10 @@ let rec trim t h =
     trim t h
   end
 
-(* Flow's pass 1 on the ring: bump dup-ACK counts for the unresolved
-   entries below the ACKed sequence; returns packets newly declared
-   lost. Tail-recursive over ints -- no allocation (a [ref]
-   accumulator would box). In-order ACKs have [limit = 0]. *)
+(* ACK pass 1: bump dup-ACK counts for the unresolved entries below
+   the ACKed sequence; returns packets newly declared lost.
+   Tail-recursive over ints -- no allocation (a [ref] accumulator would
+   box). In-order ACKs have [limit = 0]. *)
 let rec dup_scan dup res ~mask ~off ~thresh ~limit i lost =
   if i >= limit then lost
   else begin
@@ -266,7 +265,7 @@ let[@inline] record_loss t h ~now ~pkts =
   t.lost.(h) <- t.lost.(h) + pkts;
   if not t.lite then Flow_stats.record_loss t.stats.(h) ~now ~pkts
 
-(* ---- Engine: mirrors Flow's event chain step for step ---- *)
+(* ---- Engine: versioned send and RTO chains, ACK processing ---- *)
 
 let[@inline] schedule_send t h at =
   t.send_ver.(h) <- t.send_ver.(h) + 1;
@@ -286,16 +285,7 @@ let send_packet t h now =
     let seq = t.next_seq.(h) in
     t.next_seq.(h) <- seq + 1;
     let size = t.pkt_size.(h) in
-    let pkt =
-      {
-        Packet.flow = h;
-        seq;
-        size;
-        sent_at = now;
-        delivered_at_send = t.delivered.(h);
-        corrupt = false;
-      }
-    in
+    let pkt = { Packet.flow = h; seq; size; corrupt = false } in
     ring_push t h ~now ~das:t.delivered.(h);
     t.inflight.(h) <- t.inflight.(h) + 1;
     if not t.lite then Flow_stats.record_send t.stats.(h) ~now ~bytes:size;
@@ -344,9 +334,10 @@ let fire_rto t h v =
     schedule_send t h now
   end
 
-(* ACK arrival at the sender: Flow.handle_ack on the ring. Pass 1 is
-   [dup_scan] over the gap below [seq] (empty for in-order ACKs), pass
-   2 is the O(1) ring lookup, pass 3 is [trim]. *)
+(* ACK arrival at the sender. Pass 1 is [dup_scan] over the gap below
+   [seq] (empty for in-order ACKs), pass 2 is the O(1) ring lookup,
+   pass 3 is [trim]. At [dup_thresh = 1] with in-order ACKs this is
+   exact gap detection. *)
 let deliver_ack t h seq =
   if not (finished t h) then begin
     let now = Sim.now t.sim in
@@ -453,7 +444,6 @@ let create ?(capacity = 64) ?(stats_bin = 0.01) ?(lite = false) ~sim () =
       srtt = fz ();
       rttvar = fz ();
       minrtt = fz ();
-      lastrtt = fz ();
       cwnd = fz ();
       ssthresh = fz ();
       fixed_rate = fz ();
@@ -480,7 +470,7 @@ let create ?(capacity = 64) ?(stats_bin = 0.01) ?(lite = false) ~sim () =
       out_dup = Array.make capacity [||];
       out_res = Array.make capacity [||];
       gen = Array.make capacity dummy_cca;
-      stats = Array.make capacity (Lazy.force dummy_stats);
+      stats = Array.make capacity dummy_stats;
     }
   in
   Sim.set_handler sim (fun k a b -> dispatch t k a b);
@@ -512,7 +502,6 @@ let grow_table t =
   t.srtt <- gf t.srtt;
   t.rttvar <- gf t.rttvar;
   t.minrtt <- gf t.minrtt;
-  t.lastrtt <- gf t.lastrtt;
   t.cwnd <- gf t.cwnd;
   t.ssthresh <- gf t.ssthresh;
   t.fixed_rate <- gf t.fixed_rate;
@@ -539,7 +528,7 @@ let grow_table t =
   t.out_dup <- go t.out_dup [||];
   t.out_res <- go t.out_res [||];
   t.gen <- go t.gen dummy_cca;
-  t.stats <- go t.stats (Lazy.force dummy_stats)
+  t.stats <- go t.stats dummy_stats
 
 let add_flow t ~cca ~return_delay ~start_at ~stop_at ?(pkt_size = Units.mtu)
     ?(dup_thresh = 1) ?size_bytes () =
@@ -553,7 +542,6 @@ let add_flow t ~cca ~return_delay ~start_at ~stop_at ?(pkt_size = Units.mtu)
   t.srtt.(h) <- 0.0;
   t.rttvar.(h) <- 0.0;
   t.minrtt.(h) <- infinity;
-  t.lastrtt.(h) <- 0.0;
   t.cwnd.(h) <- 4.0;
   t.ssthresh.(h) <- 1e9;
   t.completed_at.(h) <- nan;
@@ -594,9 +582,9 @@ let add_flow t ~cca ~return_delay ~start_at ~stop_at ?(pkt_size = Units.mtu)
     t.stats.(h) <- Flow_stats.create ~bin:t.stats_bin ();
   h
 
-(* Mirrors Flow.start: one event at [start_at] that enters the
-   versioned send chain (keeping the intermediate event preserves
-   heap-order equivalence with the closure engine). *)
+(* One event at [start_at] that enters the versioned send chain. The
+   intermediate event fixes the heap order every seeded run (and the
+   committed golden digests) depends on. *)
 let start t h = Sim.at_coded t.sim t.start_at.(h) ~kind:k_start ~a:h ~b:0
 
 let finish t h = t.flags.(h) <- t.flags.(h) lor 1

@@ -1,13 +1,15 @@
 (** Arena flow engine: flows as int handles into struct-of-arrays
     state, scheduled entirely through coded events.
 
-    The behavioral twin of {!Flow} — same pacing, dup-ACK loss
-    detection, RTO and RTT estimator, event for event — but flows cost
-    a few array slots instead of records and closures, ACK handling
-    resolves packets in O(1) instead of O(inflight), and the
+    The simulator's only flow engine: {!Network.run} runs every
+    configured {!Cca.t} on it, and the population traffic model adds
+    thousands of short flows to one table. Senders pace at the CCA's
+    rate capped by its window, detect loss by dup-ACK counting (exact
+    gap detection at the default threshold of 1; use 3 on paths that
+    may reorder) and cover tail losses with an RTO. Flows cost a few
+    array slots, ACK handling resolves packets in O(1), and the
     steady-state ACK path allocates nothing on the minor heap when
-    tracing is off. Use it for many-flow runs (the population traffic
-    model); the closure engine remains for single-flow studies.
+    tracing is off.
 
     A table installs the simulation's coded-event handler at {!create};
     run at most one table per {!Sim.t}. *)
@@ -17,9 +19,8 @@ type t
 (** Congestion control for an arena flow. [Aimd] (slow start +
     additive-increase / halve-on-loss) and [Rate] (unresponsive CBR)
     run natively on the arrays with no per-ACK allocation; [Generic]
-    delegates to closure-based {!Cca.t} callbacks (allocates per ACK —
-    the compatibility path, and what the arena-vs-legacy equivalence
-    test runs). *)
+    delegates to closure-based {!Cca.t} callbacks (allocates per ACK;
+    every CCA of the paper's experiments runs this way). *)
 type cca = Aimd | Rate of float | Generic of Cca.t
 
 (** [create ?capacity ?stats_bin ?lite ~sim ()] — [capacity] presizes

@@ -55,29 +55,14 @@ val capacity_integrator :
   float
 
 (** Run the scenario to completion and return per-flow and link
-    aggregates. [seed] drives the stochastic loss process.
+    aggregates. Each configured CCA runs as a [Generic] flow on one
+    {!Flow_table}. [seed] drives the stochastic loss process.
     [dup_thresh] (default 1) is the senders' dup-ACK loss threshold;
     use 3 with impairments that reorder. [faults] builds the link's
     fault hooks from a keyed rng derived from [seed] -- attaching it
     does not perturb the link's own loss stream, and corrupted packets
     are discarded at the receiver (no ACK). *)
 val run :
-  ?seed:int ->
-  ?stats_bin:float ->
-  ?dup_thresh:int ->
-  ?faults:(Rng.t -> Link.hooks) ->
-  link:link_cfg ->
-  flows:flow_cfg list ->
-  duration:float ->
-  unit ->
-  summary
-
-(** [run] on the arena engine ({!Flow_table}): configured CCAs become
-    [Generic] arena flows, so the result is byte-identical to {!run}
-    under the same seed while exercising the coded-event path end to
-    end. Many-flow workloads that want native arena CCAs or lite stats
-    build a {!Flow_table} directly (see {!Population}). *)
-val run_arena :
   ?seed:int ->
   ?stats_bin:float ->
   ?dup_thresh:int ->

@@ -1,8 +1,8 @@
 (* A data packet traversing the network.
 
-   [delivered_at_send] snapshots the sender's cumulative delivered byte
-   count when the packet left, which yields per-ACK delivery-rate samples
-   in the style of BBR's rate estimator.
+   The sender keeps each packet's send time and delivered-byte snapshot
+   in its own outstanding ring (Flow_table), keyed by [seq]; the packet
+   itself carries only what the link and the receiver need.
 
    [corrupt] marks a payload damaged in transit (set by the fault
    injector): the packet still consumes link capacity, but the receiver's
@@ -13,7 +13,5 @@ type t = {
   flow : int;
   seq : int;
   size : int;
-  sent_at : float;
-  delivered_at_send : int;
   corrupt : bool;
 }

@@ -12,8 +12,6 @@ let mk_pkt seq =
     Netsim.Packet.flow = 0;
     seq;
     size = 1500;
-    sent_at = 0.0;
-    delivered_at_send = 0;
     corrupt = false;
   }
 

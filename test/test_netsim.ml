@@ -228,8 +228,7 @@ let test_sim_coded_event_needs_handler () =
 (* Droptail *)
 
 let mk_pkt ?(size = 1500) seq =
-  { Netsim.Packet.flow = 0; seq; size; sent_at = 0.0; delivered_at_send = 0;
-    corrupt = false }
+  { Netsim.Packet.flow = 0; seq; size; corrupt = false }
 
 let test_droptail_admits_until_capacity () =
   let q = Netsim.Droptail.create ~capacity:4500 in

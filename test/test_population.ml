@@ -1,5 +1,5 @@
 (* Population traffic model: sampler properties, spawn determinism, and
-   the arena-vs-legacy engine equivalence line. *)
+   the golden digests that pin the flow engine's seeded outcomes. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -127,47 +127,129 @@ let test_spawn_produces_flows () =
   check_int "fingerprint covers all flows" n (List.length flows)
 
 (* ------------------------------------------------------------------ *)
-(* Arena-vs-legacy engine equivalence *)
+(* Golden digests *)
 
-(* Under the same seed, running a scenario's configured CCAs through
-   the arena engine ([Generic] flows over Flow_table) must reproduce
-   the closure engine bit for bit: same utilization, delay, loss and
-   throughput. This is the line that lets the arena replace the legacy
-   engine for many-flow runs without re-validating every experiment. *)
-let outcome_quad o =
-  ( o.Harness.Scenario.utilization,
-    o.Harness.Scenario.mean_delay,
-    o.Harness.Scenario.loss_rate,
-    o.Harness.Scenario.throughput )
+(* Seeded scenario outcomes, pinned. The values were captured on the
+   closure-based flow engine that preceded Flow_table, which reproduced
+   it bit for bit before replacing it: [quad] is the MD5 of the
+   outcome's utilization, mean delay, loss rate and throughput printed
+   as hex floats; [acked]/[lost] are per-flow packet counts; [events]
+   is the simulator's logical event count. A row that moves means the
+   engine's event order or arithmetic changed. *)
+type golden = {
+  name : string;
+  run : unit -> Netsim.Network.summary;
+  quad : string;
+  acked : int list;
+  lost : int list;
+  events : int;
+}
 
-let check_engines_agree label spec ~n_flows ~duration =
-  let run engine =
-    Harness.Scenario.run_uniform ~seed:5 ~n_flows ~engine
-      ~factory:Harness.Ccas.cubic ~duration spec
+let duration = 4.0
+let wired24 () = Harness.Scenario.make_spec (Traces.Rate.constant 24.0)
+
+let uniform ~n_flows factory spec =
+  (Harness.Scenario.run_uniform ~seed:5 ~n_flows ~factory ~duration spec)
+    .Harness.Scenario.summary
+
+let golden_rows =
+  [
+    {
+      name = "wired-cubic-3";
+      run = (fun () -> uniform ~n_flows:3 Harness.Ccas.cubic (wired24 ()));
+      quad = "60e2a67c01017485b536c3d495941053";
+      acked = [ 2201; 2388; 3275 ];
+      lost = [ 67; 59; 67 ];
+      events = 50620;
+    };
+    {
+      name = "lte-cubic-2";
+      run =
+        (fun () ->
+          uniform ~n_flows:2 Harness.Ccas.cubic
+            (Harness.Scenario.make_spec ~loss_p:0.01
+               (Traces.Lte.generate ~seed:11 ~duration Traces.Lte.Walking)));
+      quad = "0ecee3c2d666289d4f106caca6dfd537";
+      acked = [ 1782; 1526 ];
+      lost = [ 17; 18 ];
+      events = 21217;
+    };
+    {
+      name = "mixed-staggered";
+      run =
+        (fun () ->
+          Harness.Scenario.run_mixed ~seed:5
+            ~flows:
+              [
+                (Harness.Ccas.cubic, 0.0);
+                (Harness.Ccas.bbr, 1.0);
+                (Harness.Ccas.vegas, 2.0);
+              ]
+            ~duration
+            (Harness.Scenario.make_spec ~rtt:0.04 (Traces.Rate.constant 24.0)));
+      quad = "22a2a841ac7e80939b57947ad7fa58be";
+      acked = [ 3186; 4375; 128 ];
+      lost = [ 291; 414; 31 ];
+      events = 52034;
+    };
+    {
+      name = "codel-cubic-2";
+      run =
+        (fun () ->
+          uniform ~n_flows:2 Harness.Ccas.cubic
+            (Harness.Scenario.make_spec ~aqm:`Codel ~buffer_kb:500
+               (Traces.Rate.constant 24.0)));
+      quad = "00100acb971716138a7c61341288c7e5";
+      acked = [ 4179; 3471 ];
+      lost = [ 20; 13 ];
+      events = 48686;
+    };
+    {
+      name = "reorder-dup3-cubic-2";
+      run =
+        (fun () ->
+          let impair = Result.get_ok (Faults.Spec.of_string "reorder") in
+          uniform ~n_flows:2 Harness.Ccas.cubic
+            (Harness.Scenario.make_spec ~impair ~dup_thresh:3
+               (Traces.Rate.constant 24.0)));
+      quad = "61bfddaaf80d7179913969bbdaff94fc";
+      acked = [ 3989; 3842 ];
+      lost = [ 107; 97 ];
+      events = 50977;
+    };
+    {
+      name = "c-libra-1";
+      run = (fun () -> uniform ~n_flows:1 Harness.Ccas.c_libra (wired24 ()));
+      quad = "a0f279f4fa6020e4c0c9da4dfe6e0318";
+      acked = [ 6290 ];
+      lost = [ 0 ];
+      events = 43497;
+    };
+  ]
+
+let check_golden (g : golden) () =
+  let summary = g.run () in
+  let o = Harness.Scenario.outcome ~duration summary in
+  let quad =
+    Printf.sprintf "%h %h %h %h" o.Harness.Scenario.utilization
+      o.Harness.Scenario.mean_delay o.Harness.Scenario.loss_rate
+      o.Harness.Scenario.throughput
   in
-  let l = run `Legacy and a = run `Arena in
-  check_bool (label ^ ": outcome bit-identical") true
-    (outcome_quad l = outcome_quad a);
-  let delivered o =
-    List.map
-      (fun f -> Netsim.Flow_stats.total_acked_pkts f.Netsim.Network.stats)
-      o.Harness.Scenario.summary.Netsim.Network.flows
+  let per_flow f =
+    List.map (fun r -> f r.Netsim.Network.stats) summary.Netsim.Network.flows
   in
+  Alcotest.(check string)
+    (g.name ^ ": outcome quad digest (" ^ quad ^ ")")
+    g.quad
+    (Digest.to_hex (Digest.string quad));
   Alcotest.(check (list int))
-    (label ^ ": per-flow acked pkts") (delivered l) (delivered a);
-  check_int
-    (label ^ ": same logical event count")
-    l.Harness.Scenario.summary.Netsim.Network.events
-    a.Harness.Scenario.summary.Netsim.Network.events
-
-let test_engines_agree_wired () =
-  let spec = Harness.Scenario.make_spec (Traces.Rate.constant 24.0) in
-  check_engines_agree "wired" spec ~n_flows:3 ~duration:4.0
-
-let test_engines_agree_lte () =
-  let trace = Traces.Lte.generate ~seed:11 ~duration:4.0 Traces.Lte.Walking in
-  let spec = Harness.Scenario.make_spec ~loss_p:0.01 trace in
-  check_engines_agree "lte" spec ~n_flows:2 ~duration:4.0
+    (g.name ^ ": per-flow acked pkts") g.acked
+    (per_flow Netsim.Flow_stats.total_acked_pkts);
+  Alcotest.(check (list int))
+    (g.name ^ ": per-flow lost pkts") g.lost
+    (per_flow Netsim.Flow_stats.total_lost_pkts);
+  check_int (g.name ^ ": logical event count") g.events
+    summary.Netsim.Network.events
 
 (* ------------------------------------------------------------------ *)
 
@@ -187,9 +269,8 @@ let () =
             test_spawn_insensitive_to_parent_draws;
           Alcotest.test_case "produces flows" `Quick test_spawn_produces_flows;
         ] );
-      ( "engine-equivalence",
-        [
-          Alcotest.test_case "wired" `Quick test_engines_agree_wired;
-          Alcotest.test_case "lte" `Quick test_engines_agree_lte;
-        ] );
+      ( "golden-digest-rows",
+        List.map
+          (fun g -> Alcotest.test_case g.name `Quick (check_golden g))
+          golden_rows );
     ]

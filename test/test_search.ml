@@ -258,6 +258,18 @@ let test_corpus_load_dir () =
     | exception Failure _ -> true
     | _ -> false)
 
+(* The search's feedback reads the flow engine's ACK counter by name:
+   a run under a registry must surface a non-zero [acks]. *)
+let test_feedback_sees_acks () =
+  let reg = Obs.Metrics.create_registry () in
+  Obs.Metrics.run reg (fun () ->
+      ignore
+        (Harness.Scenario.run_uniform ~seed:3 ~factory:Harness.Ccas.cubic
+           ~duration:2.0
+           (Harness.Scenario.make_spec (Traces.Rate.constant 12.0))));
+  let fb = Search.Eval.feedback_of_registry reg in
+  check_bool "feedback acks > 0" true (fb.Search.Eval.acks > 0.0)
+
 let () =
   Alcotest.run "search"
     [
@@ -276,6 +288,8 @@ let () =
           Alcotest.test_case "finds + shrinks a CUBIC counterexample" `Slow
             test_search_finds_and_shrinks_cubic;
         ] );
+      ( "feedback",
+        [ Alcotest.test_case "registry sees flow acks" `Quick test_feedback_sees_acks ] );
       ( "corpus",
         [
           Alcotest.test_case ".scn round-trip" `Quick test_scn_roundtrip;
