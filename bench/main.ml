@@ -764,20 +764,25 @@ let scaleout_rate_bps = Netsim.Units.mbps_to_bps 800.0
 let scaleout_rtt = 0.04
 let scaleout_buffer = Netsim.Units.mb 384
 
-let scaleout_arena () =
+(* A lite arena table attached to a constant-rate droptail link. *)
+let lite_arena ~capacity ~rate ~buffer_bytes =
   let sim = Netsim.Sim.create () in
-  let table =
-    Netsim.Flow_table.create ~capacity:scaleout_flows ~lite:true ~sim ()
-  in
+  let table = Netsim.Flow_table.create ~capacity ~lite:true ~sim () in
   let link =
-    Netsim.Link.create ~const_rate:scaleout_rate_bps ~sim
-      ~rate_fn:(fun _ -> scaleout_rate_bps)
-      ~grain:0.01 ~buffer_bytes:scaleout_buffer ~loss_p:0.0
-      ~rng:(Netsim.Rng.create 7)
+    Netsim.Link.create ~const_rate:rate ~sim
+      ~rate_fn:(fun _ -> rate)
+      ~grain:0.01 ~buffer_bytes ~loss_p:0.0 ~rng:(Netsim.Rng.create 7)
       ~deliver:(Netsim.Flow_table.on_pkt_delivered table)
       ()
   in
   Netsim.Flow_table.attach table link;
+  (sim, table, link)
+
+let scaleout_arena () =
+  let sim, table, _ =
+    lite_arena ~capacity:scaleout_flows ~rate:scaleout_rate_bps
+      ~buffer_bytes:scaleout_buffer
+  in
   for _ = 1 to scaleout_flows do
     let h =
       Netsim.Flow_table.add_flow table ~cca:Netsim.Flow_table.Aimd
@@ -788,28 +793,56 @@ let scaleout_arena () =
   Netsim.Sim.run sim ~until:scaleout_duration;
   Netsim.Sim.events sim
 
-(* The arena's allocation contract, asserted: with tracing off, the
-   steady-state ACK path (Flow_table.deliver_ack) and the link egress
-   path (Link.drain_one) allocate zero minor-heap words. Preloads
-   inflight packets via bench_send, pre-reserves the event heap, warms
-   both paths, calibrates the cost of the Gc.counters probe itself with
-   an empty loop, then fails the bench if either path exceeds the
-   calibration. *)
-let run_alloc_contract () =
-  Harness.Table.heading "Allocation contract: arena ACK / link egress paths";
-  let sim = Netsim.Sim.create () in
-  let table = Netsim.Flow_table.create ~capacity:8 ~lite:true ~sim () in
-  let rate = Netsim.Units.mbps_to_bps 1000.0 in
-  let link =
-    Netsim.Link.create ~const_rate:rate ~sim
-      ~rate_fn:(fun _ -> rate)
-      ~grain:0.01
-      ~buffer_bytes:(Netsim.Units.mb 256)
-      ~loss_p:0.0 ~rng:(Netsim.Rng.create 7)
-      ~deliver:(Netsim.Flow_table.on_pkt_delivered table)
-      ()
+let contract_rate = Netsim.Units.mbps_to_bps 1000.0
+let contract_buffer = Netsim.Units.mb 256
+
+(* One Sim push/pop round for the allocation contract: schedules [k]
+   events (coded, or a preallocated closure) past the clock and runs
+   the loop until they have all fired. *)
+let sim_round sim ~k ~coded =
+  let thunk () = () in
+  let now = Netsim.Sim.now sim in
+  for i = 1 to k do
+    let time = now +. (float_of_int (i land 63) *. 1e-6) in
+    if coded then Netsim.Sim.at_coded sim time ~kind:1 ~a:i ~b:i
+    else Netsim.Sim.at sim time thunk
+  done;
+  Netsim.Sim.run sim ~until:(now +. 1.0)
+
+(* A lite table whose [n] finished flows (one packet each) have left
+   their rings on the spare stack, with capacity for [n] more flows. *)
+let churned_table ~n =
+  let _, table, link =
+    lite_arena ~capacity:(2 * n) ~rate:contract_rate ~buffer_bytes:contract_buffer
   in
-  Netsim.Flow_table.attach table link;
+  let flows =
+    Array.init n (fun _ ->
+        Netsim.Flow_table.add_flow table ~cca:Netsim.Flow_table.Aimd
+          ~return_delay:0.04 ~start_at:0.0 ~stop_at:infinity ~size_bytes:1 ())
+  in
+  Array.iter
+    (fun h ->
+      Netsim.Flow_table.bench_send table h;
+      Netsim.Link.drain_one link;
+      Netsim.Flow_table.deliver_ack table h 0;
+      assert (Netsim.Flow_table.finished table h))
+    flows;
+  table
+
+(* The hot paths' allocation contract, asserted: with tracing off, the
+   steady-state ACK path (Flow_table.deliver_ack), the link egress path
+   (Link.drain_one), a Sim push/pop of a coded or a closure event, and
+   an add_flow that adopts a finished flow's ring allocate zero
+   minor-heap words; with spans on, the profiled heap.push/heap.pop
+   spans read zero words too (the profiler does not count itself).
+   Preloads inflight packets via bench_send, pre-reserves the event
+   heap, warms every path, subtracts an empty loop, then fails the
+   bench if any path allocates. *)
+let run_alloc_contract () =
+  Harness.Table.heading "Allocation contract: hot paths";
+  let sim, table, link =
+    lite_arena ~capacity:8 ~rate:contract_rate ~buffer_bytes:contract_buffer
+  in
   let h =
     Netsim.Flow_table.add_flow table ~cca:Netsim.Flow_table.Aimd
       ~return_delay:0.04 ~start_at:0.0 ~stop_at:infinity ()
@@ -827,10 +860,9 @@ let run_alloc_contract () =
     Netsim.Flow_table.deliver_ack table h s
   done;
   let minor_words f =
-    let m0, _, _ = Gc.counters () in
+    let m0 = Gc.minor_words () in
     f ();
-    let m1, _, _ = Gc.counters () in
-    m1 -. m0
+    Gc.minor_words () -. m0
   in
   let baseline = minor_words (fun () -> for _ = 1 to k do () done) in
   (* Canary for cross-module inlining: dune's dev profile compiles with
@@ -860,29 +892,78 @@ let run_alloc_contract () =
           Netsim.Flow_table.deliver_ack table h s
         done)
   in
+  let sim_pushpop ~coded =
+    let s = Netsim.Sim.create () in
+    Netsim.Sim.set_handler s (fun _ _ _ -> ());
+    Netsim.Sim.reserve s k;
+    sim_round s ~k ~coded;
+    minor_words (fun () -> sim_round s ~k ~coded)
+  in
+  let coded = sim_pushpop ~coded:true in
+  let closure = sim_pushpop ~coded:false in
+  let churned = churned_table ~n:k in
+  let adopt =
+    minor_words (fun () ->
+        for _ = 1 to k do
+          ignore
+            (Netsim.Flow_table.add_flow churned ~cca:Netsim.Flow_table.Aimd
+               ~return_delay:0.04 ~start_at:0.0 ~stop_at:infinity ~size_bytes:1 ())
+        done)
+  in
+  (* Profiled heap: words the heap.push/heap.pop spans report per call. *)
+  let recorder = Obs.Span.create () in
+  let heap = Netsim.Event_heap.create () in
+  Netsim.Event_heap.reserve heap k;
+  Obs.Span.run recorder ~lane:0 (fun () ->
+      for i = 1 to k do
+        Netsim.Event_heap.push_coded heap ~time:(float_of_int (i land 63)) ~kind:1 ~a:i ~b:i
+      done;
+      for _ = 1 to k do
+        Netsim.Event_heap.pop_into heap
+      done);
+  let span_words name =
+    let num key n =
+      Option.value ~default:nan (Option.bind (Obs.Json.member key n) Obs.Json.num)
+    in
+    match List.assoc_opt 0 (Obs.Span.lanes_json recorder) with
+    | Some (Obs.Json.List spans) -> (
+      match
+        List.find_opt
+          (fun n -> Option.bind (Obs.Json.member "name" n) Obs.Json.str = Some name)
+          spans
+      with
+      | Some n -> num "minor_words" n /. num "count" n
+      | None -> nan)
+    | _ -> nan
+  in
   let per v = (v -. baseline) /. float_of_int k in
+  let rows =
+    [
+      ("link egress (drain_one)", per egress);
+      ("ACK (deliver_ack)", per ack);
+      ("Sim push+pop, coded event", per coded);
+      ("Sim push+pop, closure event", per closure);
+      ("add_flow adopting a recycled ring", per adopt);
+      ("profiled heap.push span", span_words "heap.push");
+      ("profiled heap.pop span", span_words "heap.pop");
+    ]
+  in
   Harness.Table.print
     ~header:[ "path"; "ops"; "minor words/op" ]
-    [
-      [ "link egress (drain_one)"; string_of_int k; Printf.sprintf "%.4f" (per egress) ];
-      [ "ACK (deliver_ack)"; string_of_int k; Printf.sprintf "%.4f" (per ack) ];
-    ];
+    (List.map (fun (path, w) -> [ path; string_of_int k; Printf.sprintf "%.4f" w ]) rows);
   if not inlined then
     print_endline
       "\nalloc contract reported, not asserted: cross-module inlining is \
        inactive (dev/-opaque build); run with --profile release to assert"
   else begin
-    if per egress > 1e-3 then
-      failwith
-        (Printf.sprintf
-           "alloc contract violated: link egress allocates %.4f minor words/op"
-           (per egress));
-    if per ack > 1e-3 then
-      failwith
-        (Printf.sprintf
-           "alloc contract violated: ACK path allocates %.4f minor words/op"
-           (per ack));
-    print_endline "\nboth hot paths allocate 0 minor-heap words per operation"
+    List.iter
+      (fun (path, w) ->
+        if not (w <= 1e-3) then
+          failwith
+            (Printf.sprintf "alloc contract violated: %s allocates %.4f minor words/op"
+               path w))
+      rows;
+    print_endline "\nevery hot path allocates 0 minor-heap words per operation"
   end
 
 let run_events_per_sec ~scale () =

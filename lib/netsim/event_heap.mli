@@ -1,12 +1,17 @@
-(** Binary min-heap of timed events with FIFO tie-breaking.
+(** 4-ary min-heap of timed events with FIFO tie-breaking.
 
     Events scheduled for the same instant fire in insertion order, which
-    keeps simulations deterministic.
+    keeps simulations deterministic: the (time, insertion sequence) key
+    is a strict total order, so the pop sequence is independent of the
+    heap's internal layout.
 
     The heap is struct-of-arrays and supports two entry shapes: closure
     events (the historical API, kind 0) and {e coded} events — an int
     [kind > 0] plus two int operands — which the simulator dispatches
-    through a single match without scheduling any closure. The hot
+    through a single match without scheduling any closure. Closures are
+    kept in a free-listed side table outside the heap arrays (a kind-0
+    entry's [a] operand is its slot), so sifting moves only unboxed
+    ints and floats and never hits the GC write barrier. The hot
     push/pop paths ([push], [push_coded], [pop_into]) allocate nothing
     when span profiling is disabled. *)
 
@@ -21,8 +26,9 @@ val size : t -> int
 
 val is_empty : t -> bool
 
-(** Pre-size the arrays to hold at least [n] entries (benchmarks use
-    this to keep growth out of measured windows). *)
+(** Pre-size the heap and the closure side table to hold at least [n]
+    entries each (benchmarks use this to keep growth out of measured
+    windows). *)
 val reserve : t -> int -> unit
 
 (** [push t ~time action] schedules closure [action] at [time]. *)
@@ -48,7 +54,14 @@ val scratch_seq : t -> int
 val scratch_kind : t -> int
 val scratch_a : t -> int
 val scratch_b : t -> int
+
+(** The popped closure. Meaningful only when [scratch_kind] is 0: a
+    coded pop leaves it holding the last closure popped before. *)
 val scratch_action : t -> unit -> unit
+
+(** Side-table slots handed out so far: the peak number of closure
+    events pending at once (freed slots are reused). *)
+val closure_slots : t -> int
 
 (** Remove and return the earliest event's entry; raises [Empty] on an
     empty heap. Compatibility path: allocates the returned record. *)

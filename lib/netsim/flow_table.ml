@@ -22,7 +22,10 @@
    sits at logical index [s - head_seq]: an ACK resolves its packet in
    O(1) and the dup-ACK scan touches only the true gap, never the whole
    window (which would be O(inflight) per ACK -- quadratic under deep
-   buffers). *)
+   buffers). A sized flow that completes never touches its ring again,
+   so it goes on a spare stack and the next [add_flow] adopts its four
+   ring arrays: under churn, rings are recycled rather than allocated
+   per flow and kept reachable for the whole run. *)
 
 type cca = Aimd | Rate of float | Generic of Cca.t
 
@@ -82,6 +85,8 @@ type t = {
   mutable out_das : int array array;  (* delivered bytes at send *)
   mutable out_dup : int array array;  (* dup-ACK count *)
   mutable out_res : int array array;  (* resolved flag (0/1) *)
+  mutable spare : int array;  (* completed flows whose rings are free *)
+  mutable n_spare : int;
   (* Cold per-flow objects. *)
   mutable gen : Cca.t array;  (* Generic flows only *)
   mutable stats : Flow_stats.t array;  (* full mode only *)
@@ -389,7 +394,9 @@ let deliver_ack t h seq =
              });
       if t.delivered.(h) >= t.size_bytes.(h) then begin
         t.flags.(h) <- t.flags.(h) lor 1;
-        t.completed_at.(h) <- now
+        t.completed_at.(h) <- now;
+        t.spare.(t.n_spare) <- h;
+        t.n_spare <- t.n_spare + 1
       end
       else begin
         arm_rto t h;
@@ -469,6 +476,8 @@ let create ?(capacity = 64) ?(stats_bin = 0.01) ?(lite = false) ~sim () =
       out_das = Array.make capacity [||];
       out_dup = Array.make capacity [||];
       out_res = Array.make capacity [||];
+      spare = iz ();
+      n_spare = 0;
       gen = Array.make capacity dummy_cca;
       stats = Array.make capacity dummy_stats;
     }
@@ -523,6 +532,7 @@ let grow_table t =
   t.head_seq <- gi t.head_seq;
   t.out_len <- gi t.out_len;
   t.out_off <- gi t.out_off;
+  t.spare <- gi t.spare;
   t.out_sent <- go t.out_sent [||];
   t.out_das <- go t.out_das [||];
   t.out_dup <- go t.out_dup [||];
@@ -561,10 +571,26 @@ let add_flow t ~cca ~return_delay ~start_at ~stop_at ?(pkt_size = Units.mtu)
   t.head_seq.(h) <- 0;
   t.out_len.(h) <- 0;
   t.out_off.(h) <- 0;
-  t.out_sent.(h) <- Array.make 16 0.0;
-  t.out_das.(h) <- Array.make 16 0;
-  t.out_dup.(h) <- Array.make 16 0;
-  t.out_res.(h) <- Array.make 16 0;
+  if t.n_spare > 0 then begin
+    (* Adopt a completed flow's rings; stale entries are never read
+       (ring_push writes all four fields of each slot it fills). *)
+    t.n_spare <- t.n_spare - 1;
+    let d = t.spare.(t.n_spare) in
+    t.out_sent.(h) <- t.out_sent.(d);
+    t.out_das.(h) <- t.out_das.(d);
+    t.out_dup.(h) <- t.out_dup.(d);
+    t.out_res.(h) <- t.out_res.(d);
+    t.out_sent.(d) <- [||];
+    t.out_das.(d) <- [||];
+    t.out_dup.(d) <- [||];
+    t.out_res.(d) <- [||]
+  end
+  else begin
+    t.out_sent.(h) <- Array.make 16 0.0;
+    t.out_das.(h) <- Array.make 16 0;
+    t.out_dup.(h) <- Array.make 16 0;
+    t.out_res.(h) <- Array.make 16 0
+  end;
   (match cca with
   | Aimd ->
     t.kind.(h) <- ck_aimd;

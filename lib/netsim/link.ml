@@ -77,6 +77,12 @@ let rate_at t time =
   | None -> t.rate_fn time
   | Some h -> h.shape_rate ~now:time (t.rate_fn time)
 
+(* The service rate at [now]: the stored constant on a constant-rate
+   unshaped link (skipping the boxing rate-closure call), else
+   [rate_at]. *)
+let[@inline] service_rate t now =
+  if Float.is_nan t.fast_rate then rate_at t now else t.fast_rate
+
 let mean_queue_delay t =
   if t.queue_delay_samples = 0 then 0.0
   else t.queue_delay_sum /. float_of_int t.queue_delay_samples
@@ -91,9 +97,7 @@ let rec start_service t =
   else begin
     t.busy <- true;
     let now = Sim.now t.sim in
-    let rate =
-      if Float.is_nan t.fast_rate then rate_at t now else t.fast_rate
-    in
+    let rate = service_rate t now in
     if Obs.Trace.on Obs.Category.Link && rate <> t.traced_rate then begin
       t.traced_rate <- rate;
       Obs.Trace.emit (Obs.Event.Link_rate { t = now; rate })
@@ -219,7 +223,7 @@ let admit t pkt =
     end;
     if admitted then begin
       (* Track queueing delay via the backlog at admission. *)
-      let rate = Float.max min_rate (rate_at t now) in
+      let rate = Float.max min_rate (service_rate t now) in
       t.queue_delay_sum <-
         t.queue_delay_sum +. (float_of_int (queue_bytes t) /. rate);
       t.queue_delay_samples <- t.queue_delay_samples + 1;

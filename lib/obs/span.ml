@@ -4,8 +4,19 @@
    (one node per distinct probe per call path) and an explicit open-span
    stack stored in growable parallel arrays, so entering and leaving a
    span allocates nothing once the node exists. Host measurements are
-   bechamel's monotonic clock (ns, noalloc) and [Gc.counters] word
-   counts; both are recorded as deltas on exit.
+   bechamel's monotonic clock (ns, noalloc) and GC word counts; both are
+   recorded as deltas on exit.
+
+   The profiler must not count itself. Minor words are read through the
+   unboxed, non-allocating [Gc.minor_words], last thing on entry and
+   first thing on exit, so a span's own window holds only its body.
+   Major words need [Gc.counters], which allocates its result tuple on
+   the minor heap (short-lived, so it reaches the major count only if a
+   minor collection catches it live). That allocation, and any other
+   bookkeeping (a new tree node), happens inside the *parent's* window:
+   each lane measures it and keeps a running total ([own]), and a span
+   subtracts the growth of that total over its window. With spans on, a
+   body that allocates nothing reports 0 minor words at every depth.
 
    Determinism: which *host numbers* a span records depends on the
    machine and scheduling, so exports split in two — [structure]
@@ -50,12 +61,19 @@ type node = {
   nprobe : int;
   mutable count : int;
   mutable total_ns : int;
-  mutable minor_w : float;  (* minor words allocated inside the span *)
-  mutable major_w : float;
+  mutable minor_w : int;  (* minor words allocated inside the span *)
+  mutable major_w : int;
   mutable kids : node list;  (* newest-first; export reverses *)
 }
 
-let fresh_node p = { nprobe = p; count = 0; total_ns = 0; minor_w = 0.0; major_w = 0.0; kids = [] }
+let fresh_node p = { nprobe = p; count = 0; total_ns = 0; minor_w = 0; major_w = 0; kids = [] }
+
+let no_node = fresh_node (-1)
+
+(* [List.find_opt] would allocate its predicate closure and the option. *)
+let rec find_kid p = function
+  | [] -> no_node
+  | n :: rest -> if n.nprobe = p then n else find_kid p rest
 
 type lane_ctx = {
   lane : int;
@@ -65,6 +83,8 @@ type lane_ctx = {
   mutable t0 : int array;  (* monotonic ns at entry *)
   mutable minor0 : float array;
   mutable major0 : float array;
+  mutable own0 : int array;  (* [own] at entry *)
+  mutable own : int;  (* minor words the profiler itself allocated *)
 }
 
 let fresh_lane lane =
@@ -76,6 +96,8 @@ let fresh_lane lane =
     t0 = Array.make 16 0;
     minor0 = Array.make 16 0.0;
     major0 = Array.make 16 0.0;
+    own0 = Array.make 16 0;
+    own = 0;
   }
 
 type t = { lock : Mutex.t; mutable lanes : lane_ctx list (* newest first *) }
@@ -99,54 +121,78 @@ let grow_stack c =
   let bigger_t = Array.make (2 * cap) 0 in
   let bigger_mi = Array.make (2 * cap) 0.0 in
   let bigger_ma = Array.make (2 * cap) 0.0 in
+  let bigger_o = Array.make (2 * cap) 0 in
   Array.blit c.frames 0 bigger_f 0 cap;
   Array.blit c.t0 0 bigger_t 0 cap;
   Array.blit c.minor0 0 bigger_mi 0 cap;
   Array.blit c.major0 0 bigger_ma 0 cap;
+  Array.blit c.own0 0 bigger_o 0 cap;
   c.frames <- bigger_f;
   c.t0 <- bigger_t;
   c.minor0 <- bigger_mi;
-  c.major0 <- bigger_ma
+  c.major0 <- bigger_ma;
+  c.own0 <- bigger_o
+
+let[@inline] words_between w0 w1 = int_of_float (w1 -. w0)
 
 let enter c p =
+  let w0 = Gc.minor_words () in
   let parent = if c.depth = 0 then c.root else c.frames.(c.depth - 1) in
   let node =
-    match List.find_opt (fun n -> n.nprobe = p) parent.kids with
-    | Some n -> n
-    | None ->
+    let n = find_kid p parent.kids in
+    if n != no_node then n
+    else begin
       let n = fresh_node p in
       parent.kids <- n :: parent.kids;
       n
+    end
   in
   node.count <- node.count + 1;
   if c.depth = Array.length c.frames then grow_stack c;
   (* [Gc.counters], not [Gc.quick_stat]: on OCaml 5 the latter only
      reflects this domain's allocations after a GC slice, so deltas
      over short spans would read zero. *)
-  let minor, _, major = Gc.counters () in
-  c.frames.(c.depth) <- node;
-  c.minor0.(c.depth) <- minor;
-  c.major0.(c.depth) <- major;
-  c.t0.(c.depth) <- now_ns ();
-  c.depth <- c.depth + 1
+  let _, _, major = Gc.counters () in
+  let d = c.depth in
+  c.frames.(d) <- node;
+  c.major0.(d) <- major;
+  c.depth <- d + 1;
+  let w1 = Gc.minor_words () in
+  c.own <- c.own + words_between w0 w1;
+  c.own0.(d) <- c.own;
+  c.minor0.(d) <- w1;
+  c.t0.(d) <- now_ns ()
 
 let leave c =
   let dt = now_ns () in
-  c.depth <- c.depth - 1;
-  let node = c.frames.(c.depth) in
-  let minor, _, major = Gc.counters () in
-  node.total_ns <- node.total_ns + (dt - c.t0.(c.depth));
-  node.minor_w <- node.minor_w +. (minor -. c.minor0.(c.depth));
-  node.major_w <- node.major_w +. (major -. c.major0.(c.depth))
+  let w0 = Gc.minor_words () in
+  let d = c.depth - 1 in
+  c.depth <- d;
+  let node = c.frames.(d) in
+  node.total_ns <- node.total_ns + (dt - c.t0.(d));
+  node.minor_w <-
+    node.minor_w + words_between c.minor0.(d) w0 - (c.own - c.own0.(d));
+  let _, _, major = Gc.counters () in
+  node.major_w <- node.major_w + words_between c.major0.(d) major;
+  c.own <- c.own + words_between w0 (Gc.minor_words ())
 
+(* No [Fun.protect]: its closures would be allocated inside the span. *)
 let timed p f =
   if Atomic.get n_active = 0 then f ()
   else
     match !(Domain.DLS.get ctx_key) with
     | None -> f ()
-    | Some c ->
-      enter c.ctx_lane p;
-      Fun.protect ~finally:(fun () -> leave c.ctx_lane) f
+    | Some c -> (
+      let lc = c.ctx_lane in
+      enter lc p;
+      match f () with
+      | v ->
+        leave lc;
+        v
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        leave lc;
+        Printexc.raise_with_backtrace e bt)
 
 let run t ?(lane = 0) f =
   let lc = fresh_lane lane in
@@ -188,8 +234,8 @@ let unobserved f =
 let rec merge_node ~into src =
   into.count <- into.count + src.count;
   into.total_ns <- into.total_ns + src.total_ns;
-  into.minor_w <- into.minor_w +. src.minor_w;
-  into.major_w <- into.major_w +. src.major_w;
+  into.minor_w <- into.minor_w + src.minor_w;
+  into.major_w <- into.major_w + src.major_w;
   List.iter
     (fun skid ->
       match List.find_opt (fun k -> k.nprobe = skid.nprobe) into.kids with
@@ -235,8 +281,8 @@ let rec node_json n =
       ("count", Json.Num (float_of_int n.count));
       ("total_s", Json.Num (ns_to_s n.total_ns));
       ("self_s", Json.Num (ns_to_s self_ns));
-      ("minor_words", Json.Num n.minor_w);
-      ("major_words", Json.Num n.major_w);
+      ("minor_words", Json.Num (float_of_int n.minor_w));
+      ("major_words", Json.Num (float_of_int n.major_w));
       ("children", Json.List (List.map node_json kids));
     ]
 

@@ -157,6 +157,86 @@ let test_heap_random_pop_order () =
              seq))
     expected
 
+(* Coded and closure events mixed, on few distinct times (ties abound)
+   and well past the initial capacity, in two rounds so freed closure
+   slots are reused: every pop must be the next entry of a stable sort
+   by time of what is pending (ties in insertion order), matching on
+   time, seq, kind, both coded operands and the closure itself. *)
+type pushed = { ptime : float; pseq : int; pkind : int; pa : int; pb : int; act : unit -> unit }
+
+let test_heap_mixed_model () =
+  let module H = Netsim.Event_heap in
+  let rng = Netsim.Rng.create 11 in
+  let h = H.create () in
+  let seq = ref 0 in
+  let push_n n =
+    List.init n (fun i ->
+        let ptime = float_of_int (Netsim.Rng.int rng 13) /. 8.0 in
+        let e =
+          if Netsim.Rng.int rng 3 = 0 then begin
+            let act () = ignore (Sys.opaque_identity i) in
+            H.push h ~time:ptime act;
+            { ptime; pseq = !seq; pkind = 0; pa = 0; pb = 0; act }
+          end
+          else begin
+            let pkind = 1 + Netsim.Rng.int rng 5 in
+            let pa = Netsim.Rng.int rng 1000 and pb = i in
+            H.push_coded h ~time:ptime ~kind:pkind ~a:pa ~b:pb;
+            { ptime; pseq = !seq; pkind; pa; pb; act = ignore }
+          end
+        in
+        incr seq;
+        e)
+  in
+  let pop_check pending k =
+    let sorted = List.stable_sort (fun x y -> compare x.ptime y.ptime) pending in
+    List.iteri
+      (fun i e ->
+        if i < k then begin
+          H.pop_into h;
+          let what = Printf.sprintf "pop of #%d" e.pseq in
+          check_bool (what ^ ": time") true (H.scratch_time h = e.ptime);
+          check_int (what ^ ": seq") e.pseq (H.scratch_seq h);
+          check_int (what ^ ": kind") e.pkind (H.scratch_kind h);
+          if e.pkind = 0 then
+            check_bool (what ^ ": closure") true (H.scratch_action h == e.act)
+          else begin
+            check_int (what ^ ": a") e.pa (H.scratch_a h);
+            check_int (what ^ ": b") e.pb (H.scratch_b h)
+          end
+        end)
+      sorted;
+    List.filteri (fun i _ -> i >= k) sorted
+  in
+  let rest = pop_check (push_n 1500) 700 in
+  check_int "pending after round 1" 800 (H.size h);
+  let rest = pop_check (rest @ push_n 1500) 2300 in
+  check_bool "drained" true (rest = [] && H.is_empty h)
+
+(* 10^5 interleaved pushes and pops: the closure side table never
+   grows past the most closure events ever pending at once. *)
+let test_heap_closure_slots_bounded () =
+  let module H = Netsim.Event_heap in
+  let rng = Netsim.Rng.create 5 in
+  let h = H.create () in
+  let pending = ref 0 and peak = ref 0 in
+  for i = 1 to 100_000 do
+    if H.size h > 0 && Netsim.Rng.int rng 2 = 0 then begin
+      H.pop_into h;
+      if H.scratch_kind h = 0 then decr pending
+    end
+    else if Netsim.Rng.bool rng ~p:0.5 then begin
+      H.push h ~time:(float_of_int (i + Netsim.Rng.int rng 500)) ignore;
+      incr pending;
+      if !pending > !peak then peak := !pending
+    end
+    else H.push_coded h ~time:(float_of_int (i + Netsim.Rng.int rng 500)) ~kind:1 ~a:i ~b:0
+  done;
+  check_bool
+    (Printf.sprintf "side table %d <= peak pending closures %d" (H.closure_slots h) !peak)
+    true
+    (H.closure_slots h <= !peak && !peak > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Sim *)
 
@@ -590,6 +670,9 @@ let () =
           Alcotest.test_case "fifo on ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "grows" `Quick test_heap_grows;
           Alcotest.test_case "random pop order" `Quick test_heap_random_pop_order;
+          Alcotest.test_case "mixed coded/closure model" `Quick test_heap_mixed_model;
+          Alcotest.test_case "closure slots bounded" `Quick
+            test_heap_closure_slots_bounded;
         ]
         @ qsuite [ prop_heap_sorted ] );
       ( "sim",

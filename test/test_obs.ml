@@ -365,6 +365,36 @@ let test_span_json_sanity () =
     | _ -> Alcotest.fail "expected exactly one child")
   | _ -> Alcotest.fail "expected a single lane with a single root"
 
+(* The profiler does not count itself: spans whose bodies allocate
+   nothing read 0 minor words at every depth (the GC-counter reads and
+   bookkeeping of the 1000 inner spans stay out of the outer window),
+   and a body's own allocation is attributed exactly, once per level. *)
+let test_span_self_cost () =
+  let a = Obs.Span.probe "t.span.cost.outer" in
+  let b = Obs.Span.probe "t.span.cost.inner" in
+  let words body =
+    let t = Obs.Span.create () in
+    Obs.Span.run t ~lane:0 (fun () ->
+        Obs.Span.timed a (fun () ->
+            for _ = 1 to 1000 do
+              Obs.Span.timed b body
+            done));
+    let num k n = Option.value ~default:nan (Option.bind (Obs.Json.member k n) Obs.Json.num) in
+    match Obs.Span.lanes_json t with
+    | [ (0, Obs.Json.List [ outer ]) ] -> (
+      match Obs.Json.member "children" outer with
+      | Some (Obs.Json.List [ inner ]) -> (num "minor_words" outer, num "minor_words" inner)
+      | _ -> Alcotest.fail "expected exactly one child")
+    | _ -> Alcotest.fail "expected a single lane with a single root"
+  in
+  let outer, inner = words Fun.id in
+  check_bool (Printf.sprintf "empty inner spans read 0 words (got %g)" inner) true (inner = 0.0);
+  check_bool (Printf.sprintf "outer span reads 0 words (got %g)" outer) true (outer = 0.0);
+  let outer, inner = words (fun () -> ignore (Sys.opaque_identity (Array.make 10 0))) in
+  check_bool (Printf.sprintf "inner bodies: 11 words each (got %g)" inner) true
+    (inner = 11_000.0);
+  check_bool (Printf.sprintf "outer = inner (got %g vs %g)" outer inner) true (outer = inner)
+
 (* End-to-end attribution: running a real scenario under a recorder,
    the named top-level spans must cover nearly all of the measured wall
    time (the >= 90% acceptance threshold, with margin for test noise). *)
@@ -892,6 +922,7 @@ let () =
           Alcotest.test_case "unobserved" `Quick test_span_unobserved_masks;
           Alcotest.test_case "lane merge + sort" `Quick test_span_lane_merge_and_sort;
           Alcotest.test_case "json sanity" `Quick test_span_json_sanity;
+          Alcotest.test_case "self-cost is zero" `Quick test_span_self_cost;
           Alcotest.test_case "attribution >= 90%" `Quick test_span_attribution;
         ] );
       ( "manifest",

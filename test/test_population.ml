@@ -251,6 +251,46 @@ let check_golden (g : golden) () =
   check_int (g.name ^ ": logical event count") g.events
     summary.Netsim.Network.events
 
+(* The lite churn path, pinned like the rows above: a Population run on
+   a lite table, long enough that finished flows hand their outstanding
+   rings to later arrivals (and elephants grow theirs first). The digest
+   covers the flow count, the logical event count and every flow's
+   start, delivered bytes and completion instant as hex floats. *)
+let lite_churn_digest = "e06f3bd6f5e508e56b05bc49e8a7491b"
+
+let check_lite_churn () =
+  let sim = Netsim.Sim.create () in
+  let table = Netsim.Flow_table.create ~capacity:16 ~lite:true ~sim () in
+  let rate = Netsim.Units.mbps_to_bps 24.0 in
+  let link =
+    Netsim.Link.create ~const_rate:rate ~sim
+      ~rate_fn:(fun _ -> rate)
+      ~grain:0.01
+      ~buffer_bytes:(Netsim.Units.kb 150)
+      ~loss_p:0.0 ~rng:(Netsim.Rng.create 3)
+      ~deliver:(Netsim.Flow_table.on_pkt_delivered table)
+      ()
+  in
+  Netsim.Flow_table.attach table link;
+  let cfg = Netsim.Population.default ~rate:80.0 () in
+  Netsim.Population.spawn ~table ~rng:(Netsim.Rng.create 42) ~cfg ~until:4.0;
+  Netsim.Sim.run sim ~until:6.0;
+  let n = Netsim.Flow_table.flow_count table in
+  let b = Buffer.create 4096 in
+  Buffer.add_string b
+    (Printf.sprintf "%d %d" n (Netsim.Sim.events sim));
+  for h = 0 to n - 1 do
+    Buffer.add_string b
+      (Printf.sprintf " %h %h %h"
+         (Netsim.Flow_table.start_time table h)
+         (float_of_int (Netsim.Flow_table.delivered_bytes table h))
+         (Netsim.Flow_table.completion_time table h))
+  done;
+  Alcotest.(check string)
+    (Printf.sprintf "lite-churn: digest of %d flows" n)
+    lite_churn_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -272,5 +312,6 @@ let () =
       ( "golden-digest-rows",
         List.map
           (fun g -> Alcotest.test_case g.name `Quick (check_golden g))
-          golden_rows );
+          golden_rows
+        @ [ Alcotest.test_case "lite-churn" `Quick check_lite_churn ] );
     ]
