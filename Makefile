@@ -1,4 +1,4 @@
-.PHONY: all check bench trace robustness perfcheck faultcheck invariants search observe chaos clean
+.PHONY: all check bench trace robustness perfcheck faultcheck invariants search observe chaos clicheck clean
 
 all:
 	dune build
@@ -52,6 +52,11 @@ observe:
 # byte-identically at --domains 1 and 4.
 chaos:
 	dune build @chaos
+
+# Shared-flag smoke alone: every shared CLI flag on every binary that
+# accepts it, exit codes checked, JSONL exports validated.
+clicheck:
+	dune build @clicheck
 
 # CI perf gate: run the quick perf-smoke subset (spans on), append the
 # result to BENCH_history.jsonl, and compare against the most recent

@@ -81,7 +81,7 @@ let micro_tests () =
        Staged.stage (fun () -> Obs.Metrics.incr p));
     Test.make ~name:"obs/span-off"
       (let p = Obs.Span.probe "bench.noop" in
-       Staged.stage (fun () -> Obs.Span.timed p Fun.id));
+       Staged.stage (fun () -> Obs.Span.timed p Fun.id ()));
   ]
 
 let run_micro () =
@@ -266,7 +266,7 @@ let run_groups_timed ?recorder gs =
         let run () =
           Obs.Span.timed
             (Obs.Span.probe ("group." ^ e.Harness.Registry.group))
-            (fun () -> e.Harness.Registry.run ())
+            e.Harness.Registry.run ()
         in
         let r =
           match recorder with

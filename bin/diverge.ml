@@ -118,13 +118,7 @@ let capture ~cca ~trace_spec ~rtt_ms ~buffer_kb ~loss ~duration ~flows ~runs
 
 let run_cmd cca trace_spec rtt_ms buffer_kb loss duration flows seed impair runs
     window a_spec b_spec =
-  let impair =
-    match Faults.Spec.of_string impair with
-    | Ok s -> s
-    | Error m ->
-      prerr_endline m;
-      exit 2
-  in
+  let impair = Cli.impair_spec impair in
   if runs < 1 then begin
     Printf.eprintf "bad --runs %d (want >= 1)\n" runs;
     exit 2
@@ -156,13 +150,6 @@ let loss = Arg.(value & opt float 0.0 & info [ "loss" ] ~doc:"stochastic loss pr
 let duration = Arg.(value & opt float 5.0 & info [ "duration" ] ~doc:"seconds")
 let flows = Arg.(value & opt int 1 & info [ "flows" ] ~doc:"number of flows")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"base random seed")
-
-let impair =
-  Arg.(
-    value
-    & opt string "clean"
-    & info [ "impair" ] ~docv:"SPEC"
-        ~doc:"fault-injection schedule (see libra_sim --list); 'clean' disables")
 
 let runs =
   Arg.(
@@ -198,6 +185,6 @@ let cmd =
           the first diverging event")
     Term.(
       const run_cmd $ cca $ trace $ rtt $ buffer $ loss $ duration $ flows $ seed
-      $ impair $ runs $ window $ a_spec $ b_spec)
+      $ Cli.impair $ runs $ window $ a_spec $ b_spec)
 
 let () = exit (Cmd.eval' cmd)

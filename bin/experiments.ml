@@ -6,206 +6,8 @@
 
 open Cmdliner
 
-(* Observability session: a tracer whose lanes are experiment indices
-   (deterministic at any pool size), per-lane metrics registries merged
-   in lane order at export time, and an optional span recorder whose
-   lanes mirror the tracer's (--profile). *)
-type obs_session = {
-  tracer : Obs.Trace.t;
-  regs : (int, Obs.Metrics.registry) Hashtbl.t;
-  regs_lock : Mutex.t;
-  spans : Obs.Span.t option;
-  manifest : Obs.Json.t;
-  invariant_specs : Check.Spec.t list;  (* [] = no checking *)
-  checkers : (int, Check.Checker.t) Hashtbl.t;  (* lane -> its checker *)
-  rollup_window : float option;  (* Some w = per-lane rollups enabled *)
-  rollups : (int, Obs.Rollup.t) Hashtbl.t;  (* lane -> its rollup *)
-}
-
-let obs_session_of ~trace_filter ~sample ~rollup_window ~profile ~manifest
-    ~invariant_specs ~retain =
-  let categories =
-    match trace_filter with
-    | None -> Obs.Category.all
-    | Some spec -> Obs.Category.parse_filter spec
-  in
-  (* --invariant widens the subscription to whatever its specs need. *)
-  let categories =
-    match invariant_specs with
-    | [] -> categories
-    | specs -> (
-      match Check.Spec.categories_of_pack specs with
-      | None -> Obs.Category.all
-      | Some needed -> List.sort_uniq compare (categories @ needed))
-  in
-  (* A checker-only session retains nothing: the checker consumes
-     events online, so a small ring bounds memory on --all runs. *)
-  let ring_capacity = if retain then None else Some 4096 in
-  {
-    tracer = Obs.Trace.create ?ring_capacity ?sample ~categories ~manifest ();
-    regs = Hashtbl.create 8;
-    regs_lock = Mutex.create ();
-    spans = (if profile then Some (Obs.Span.create ()) else None);
-    manifest;
-    invariant_specs;
-    checkers = Hashtbl.create 8;
-    rollup_window;
-    rollups = Hashtbl.create 8;
-  }
-
-let obs_wrap session lane run =
-  let reg = Obs.Metrics.create_registry () in
-  Mutex.lock session.regs_lock;
-  Hashtbl.replace session.regs lane reg;
-  Mutex.unlock session.regs_lock;
-  let checker =
-    match session.invariant_specs with
-    | [] -> None
-    | specs ->
-      (* One state-machine set per lane, keyed like the tracer's lanes,
-         so violations are pool-size-deterministic. *)
-      let c = Check.Checker.create specs in
-      Mutex.lock session.regs_lock;
-      Hashtbl.replace session.checkers lane c;
-      Mutex.unlock session.regs_lock;
-      Some c
-  in
-  let rollup =
-    match session.rollup_window with
-    | None -> None
-    | Some window ->
-      (* One rollup per lane, merged in lane order at export — the same
-         determinism recipe as the tracer's lanes. *)
-      let r = Obs.Rollup.create ~window () in
-      Mutex.lock session.regs_lock;
-      Hashtbl.replace session.rollups lane r;
-      Mutex.unlock session.regs_lock;
-      Some r
-  in
-  let run =
-    match checker with
-    | Some c -> fun () -> Check.Runtime.with_checker c run
-    | None -> run
-  in
-  let run =
-    match rollup with
-    | Some r -> fun () -> Obs.Rollup.with_ambient r run
-    | None -> run
-  in
-  let run =
-    match session.spans with
-    | Some sp -> fun () -> Obs.Span.run sp ~lane (fun () -> Obs.Metrics.run reg run)
-    | None -> fun () -> Obs.Metrics.run reg run
-  in
-  let observer =
-    match (rollup, checker) with
-    | None, None -> None
-    | Some r, None -> Some (Obs.Rollup.observe r)
-    | None, Some c -> Some (Check.Checker.on_event c)
-    | Some r, Some c ->
-      Some
-        (fun ev ->
-          Obs.Rollup.observe r ev;
-          Check.Checker.on_event c ev)
-  in
-  Obs.Trace.run session.tracer ~lane ?observer run
-
-(* [lane_name lane] labels span-profile groups; lanes are registry
-   group indices (run_all) or positions in the id list. *)
-let obs_export session ~trace_out ~metrics_out ~rollup_out ~profile_out ~lane_name =
-  Option.iter (Obs.Trace.write session.tracer) trace_out;
-  Option.iter
-    (fun file ->
-      let lanes =
-        List.sort compare
-          (Hashtbl.fold (fun lane r acc -> (lane, r) :: acc) session.rollups [])
-      in
-      Obs.Rollup.write ~manifest:session.manifest ~lanes file;
-      let windows =
-        List.fold_left (fun acc (_, r) -> acc + Obs.Rollup.windows r) 0 lanes
-      in
-      Printf.printf "rollup: %d window(s) over %d lane(s) -> %s\n" windows
-        (List.length lanes) file)
-    rollup_out;
-  Option.iter
-    (fun file ->
-      let merged = Obs.Metrics.create_registry () in
-      let lanes =
-        List.sort compare
-          (Hashtbl.fold (fun lane _ acc -> lane :: acc) session.regs [])
-      in
-      List.iter
-        (fun lane ->
-          Obs.Metrics.merge ~into:merged (Hashtbl.find session.regs lane))
-        lanes;
-      Obs.Metrics.write_csv merged file)
-    metrics_out;
-  (match (session.spans, profile_out) with
-  | Some sp, Some file ->
-    let groups =
-      List.map (fun (lane, trees) -> (lane_name lane, trees)) (Obs.Span.lanes_json sp)
-    in
-    let doc =
-      Obs.Json.Obj
-        [
-          ("profile", Obs.Json.Num 1.0);
-          ("manifest", session.manifest);
-          ("groups", Obs.Json.Obj groups);
-        ]
-    in
-    Chaos.Io.write_file file (Obs.Json.to_string doc ^ "\n");
-    Printf.printf "profile: %d group(s) -> %s\n" (List.length groups) file
-  | _ -> ());
-  Option.iter
-    (fun file ->
-      Printf.printf "trace: %d events -> %s\n"
-        (Obs.Trace.length session.tracer)
-        file)
-    trace_out
-
-(* --invariant SPECs ("default" expands to the default pack; the
-   scenario-independent form, without a global queue bound) plus
-   --invariant-file lines, compiled in argument order. *)
-let collect_invariants ~invariants ~invariant_file =
-  let from_file =
-    match invariant_file with
-    | None -> []
-    | Some path ->
-      let ic =
-        try open_in path
-        with Sys_error e ->
-          Printf.eprintf "--invariant-file: %s\n" e;
-          exit 2
-      in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev !lines
-  in
-  try
-    List.concat_map
-      (fun spec ->
-        if String.trim spec = "default" then Check.Spec.default_pack ()
-        else [ Check.Spec.parse spec ])
-      invariants
-    @ Check.Spec.parse_lines from_file
-  with Check.Spec.Parse_error m ->
-    Printf.eprintf "--invariant: %s\n" m;
-    exit 2
-
-let run_cmd full tiny stress domains impair chaos chaos_seed checkpoint_dir resume
-    inject_crash retries deadline_events wall_deadline invariants invariant_file
-    trace_out trace_filter trace_sample metrics_out rollup_out rollup_window
-    flight_capacity flight_dir profile_out ids all =
-  (match domains with
-  | Some d when d < 1 ->
-    Printf.eprintf "invalid --domains %d (want a positive integer)\n" d;
-    exit 2
-  | _ -> ());
+let run_cmd full tiny stress checkpoint_dir resume inject_crash retries
+    wall_deadline flags ids all =
   if (if full then 1 else 0) + (if tiny then 1 else 0) + (if stress then 1 else 0) > 1
   then begin
     prerr_endline "--full, --tiny and --stress are mutually exclusive";
@@ -219,25 +21,10 @@ let run_cmd full tiny stress domains impair chaos chaos_seed checkpoint_dir resu
     prerr_endline "--resume requires --checkpoint DIR";
     exit 2
   end;
-  Option.iter Exec.Pool.set_default_size domains;
-  let impair_spec =
-    match Faults.Spec.of_string impair with
-    | Ok s ->
-      Harness.Scenario.set_default_impair s;
-      s
-    | Error m ->
-      prerr_endline m;
-      exit 2
-  in
-  (* --chaos installs the host-fault schedule over every persistence
-     operation (checkpoint cells, trace/rollup/metrics exports, flight
-     dumps) and the domain pool's tasks. Faults surface as structured
-     errors and drive exit code 6 — never an unstructured crash. *)
-  (match Chaos.Spec.of_string chaos with
-  | Ok s -> Chaos.Plane.install ~seed:chaos_seed s
-  | Error m ->
-    prerr_endline m;
-    exit 2);
+  (* --chaos covers every persistence operation (checkpoint cells,
+     exports, flight dumps) and the domain pool's tasks. *)
+  let v = Cli.install flags in
+  Harness.Scenario.set_default_impair v.Cli.impair_spec;
   let scale_name =
     if full then "full"
     else if tiny then "tiny"
@@ -249,54 +36,14 @@ let run_cmd full tiny stress domains impair chaos chaos_seed checkpoint_dir resu
      else if tiny then Harness.Scale.tiny
      else if stress then Harness.Scale.stress
      else Harness.Scale.quick);
-  let sample =
-    match trace_sample with
-    | None -> None
-    | Some spec -> (
-      match Obs.Sample.parse spec with
-      | Ok s -> Some s
-      | Error m ->
-        Printf.eprintf "--trace-sample: %s\n" m;
-        exit 2)
-  in
-  if rollup_window <= 0.0 then begin
-    prerr_endline "--rollup-window: must be positive";
-    exit 2
-  end;
-  Option.iter Obs.Flight.set_dump_dir flight_dir;
   let manifest =
     Obs.Manifest.make ~scale:scale_name
       ~domains:(Exec.Pool.size (Exec.Pool.default ()))
-      ~impair:(Faults.Spec.to_string impair_spec)
-      ~extra:
-        (match sample with
-        | None -> []
-        | Some s -> [ ("trace_sample", Obs.Json.Str (Obs.Sample.to_string s)) ])
-      ()
+      ~impair:(Faults.Spec.to_string v.Cli.impair_spec)
+      ~extra:(Cli.manifest_extra v) ()
   in
-  let invariant_specs = collect_invariants ~invariants ~invariant_file in
-  let session =
-    match (trace_out, metrics_out, profile_out, rollup_out, invariant_specs) with
-    | None, None, None, None, [] -> None
-    | _ ->
-      Some
-        (obs_session_of ~trace_filter ~sample
-           ~rollup_window:(Option.map (fun _ -> rollup_window) rollup_out)
-           ~profile:(profile_out <> None) ~manifest ~invariant_specs
-           ~retain:(trace_out <> None))
-  in
-  let flight =
-    if flight_capacity <= 0 then None
-    else Some (Obs.Flight.create ~capacity:flight_capacity ())
-  in
-  let wrap lane run =
-    let inner () =
-      match session with Some s -> obs_wrap s lane run | None -> run ()
-    in
-    match flight with
-    | Some fl -> Obs.Flight.run fl ~lane inner
-    | None -> inner ()
-  in
+  (* Lanes are entry indices: deterministic at any pool size. *)
+  let session = Cli.Session.create ~manifest v in
   let run_all_groups = all || ids = [] in
   let missing =
     if run_all_groups then []
@@ -332,7 +79,7 @@ let run_cmd full tiny stress domains impair chaos chaos_seed checkpoint_dir resu
       let supervision =
         {
           Harness.Registry.retries;
-          deadline_events;
+          deadline_events = flags.Cli.deadline_events;
           wall_s = wall_deadline;
           checkpoint =
             Option.map
@@ -348,7 +95,10 @@ let run_cmd full tiny stress domains impair chaos chaos_seed checkpoint_dir resu
           resume;
         }
       in
-      let summary = Harness.Registry.run_all ~wrap ~supervision ~entries () in
+      let summary =
+        Harness.Registry.run_all ~wrap:(fun lane -> Cli.Session.wrap session ~lane)
+          ~supervision ~entries ()
+      in
       if summary.Harness.Registry.failed > 0 then 3 else 0
     end
   in
@@ -365,59 +115,11 @@ let run_cmd full tiny stress domains impair chaos chaos_seed checkpoint_dir resu
       else if inject_crash && lane = Array.length arr then "fixture-crash"
       else string_of_int lane
   in
-  (* An injected fault on an export must not escape as an unstructured
-     crash: name it on stderr and let the exit code (6) carry it. *)
-  (try
-     Option.iter
-       (obs_export ~trace_out ~metrics_out ~rollup_out ~profile_out ~lane_name)
-       session
-   with Chaos.Io.Fault { fault; path; detail } ->
-     Printf.eprintf "[chaos] export fault: %s at %s (%s)\n%!" fault path detail);
-  (* Invariant summary: lane-ordered (= entry-ordered), so the output
-     is byte-identical at any pool size. Violations already failed
-     their entries through the supervisor; this is the detail. *)
-  (match session with
-  | Some s when s.invariant_specs <> [] ->
-    let lanes =
-      List.sort compare (Hashtbl.fold (fun l _ acc -> l :: acc) s.checkers [])
-    in
-    let events, viols =
-      List.fold_left
-        (fun (e, v) lane ->
-          let c = Hashtbl.find s.checkers lane in
-          (e + Check.Checker.events_seen c, v + Check.Checker.total c))
-        (0, 0) lanes
-    in
-    Printf.eprintf "[invariants] %d spec(s) over %d lane(s): %d violation(s) in %d event(s)\n%!"
-      (List.length s.invariant_specs) (List.length lanes) viols events;
-    List.iter
-      (fun lane ->
-        let c = Hashtbl.find s.checkers lane in
-        if Check.Checker.total c > 0 then begin
-          Printf.eprintf "[invariants] lane %s:\n" (lane_name lane);
-          prerr_string (Check.Checker.report c)
-        end)
-      lanes
-  | _ -> ());
-  (* Host-fault accounting: summarize what the chaos plane injected and
-     what the harness detected. Any fault surfaced to a caller — or any
-     corrupt checkpoint detected, chaos installed or not — turns a
-     would-be-clean exit into 6, so CI can tell "results fine, host
-     faulty" from both success (0) and experiment failure (3). *)
-  let surfaced = Chaos.Plane.surfaced () in
-  let corrupt_detected = Chaos.Plane.corrupt_detected () in
-  if Chaos.Plane.active () || surfaced > 0 || corrupt_detected > 0 then begin
-    let st = Chaos.Plane.stats () in
-    Printf.eprintf
-      "[chaos] injected: torn=%d flip=%d enospc=%d eio=%d kill=%d; healed: \
-       resurrected=%d respawned=%d; surfaced=%d corrupt-detected=%d\n%!"
-      st.Chaos.Plane.torn st.Chaos.Plane.flips st.Chaos.Plane.enospc
-      st.Chaos.Plane.eio st.Chaos.Plane.kills st.Chaos.Plane.resurrections
-      st.Chaos.Plane.respawns surfaced corrupt_detected
-  end;
-  if status <> 0 then status
-  else if surfaced > 0 || corrupt_detected > 0 then 6
-  else 0
+  Cli.Session.export ~lane_name session;
+  (* Violations already failed their entries through the supervisor;
+     this is the detail. *)
+  Cli.Session.report_invariants ~lane_name session;
+  Cli.finish status
 
 let full = Arg.(value & flag & info [ "full" ] ~doc:"paper-scale durations")
 
@@ -469,16 +171,6 @@ let retries =
           "extra attempts per experiment after a failure, with a \
            deterministic recorded backoff schedule")
 
-let deadline_events =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "deadline-events" ] ~docv:"N"
-        ~doc:
-          "deterministic per-attempt budget: at most $(docv) logical events \
-           (simulator pops / training steps) before the experiment is \
-           failed as 'deadline'")
-
 let wall_deadline =
   Arg.(
     value
@@ -488,148 +180,6 @@ let wall_deadline =
           "nondeterministic wall-clock backstop per attempt (recorded in \
            the failure report but excluded from its digest)")
 
-let impair =
-  Arg.(
-    value
-    & opt string "clean"
-    & info [ "impair" ] ~docv:"SPEC"
-        ~doc:
-          "run every experiment scenario under this fault-injection schedule \
-           ('+'-joined name[:k=v,..] items; see libra_sim --list); 'clean' \
-           disables. Scenarios that set their own impairment keep it.")
-
-let chaos =
-  Arg.(
-    value
-    & opt string "none"
-    & info [ "chaos" ] ~docv:"SPEC"
-        ~doc:
-          "inject host faults into harness persistence and the domain pool \
-           ('+'-joined name[:k=v,..] items mirroring --impair): $(b,torn) \
-           (crash mid-write), $(b,flip) (silent bit corruption, caught by \
-           verify-on-read), $(b,enospc) (disk full after N bytes), $(b,eio) \
-           (I/O errors), $(b,kill-domain) (pool worker death; tasks are \
-           resurrected). Faults surface as structured errors and exit code \
-           6, never a crash. 'none' disables.")
-
-let chaos_seed =
-  Arg.(
-    value & opt int 0
-    & info [ "chaos-seed" ] ~docv:"N"
-        ~doc:
-          "seed for the deterministic chaos schedule: which operations fault \
-           is a pure function of (seed, operation index)")
-
-let invariants =
-  Arg.(
-    value
-    & opt_all string []
-    & info [ "invariant" ] ~docv:"SPEC"
-        ~doc:
-          "check an invariant online over every experiment's event stream \
-           (repeatable; the word $(b,default) loads the default pack). A \
-           violation fails its experiment through the supervisor — the run \
-           exits 3 with a structured report naming the predicate and event \
-           index. See libra_sim --help for the grammar.")
-
-let invariant_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "invariant-file" ] ~docv:"FILE"
-        ~doc:
-          "read invariant specs from $(docv), one per line ('#' comments); \
-           combined with any --invariant flags")
-
-let trace_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "export the simulation-time event trace to $(docv) (.csv gets CSV, \
-           anything else JSONL); experiments are merged as trace lanes in \
-           registry order")
-
-let trace_filter =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-filter" ] ~docv:"CAT,.."
-        ~doc:
-          "comma-separated event categories \
-           (pkt,link,ack,rate,monitor,stage,cycle,rl,fault,invariant); \
-           default all. --invariant widens the filter to what its specs \
-           need.")
-
-let trace_sample =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-sample" ] ~docv:"1/N"
-        ~doc:
-          "deterministic head-based flow sampling for the trace export: keep \
-           every event of ~one flow in $(i,N), drop the rest. The kept flow \
-           set is a pure function of the flow id — byte-identical at any \
-           --domains. Structural events are never dropped.")
-
-let metrics_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE" ~doc:"export the metrics registry as CSV")
-
-let rollup_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "rollup-out" ] ~docv:"FILE"
-        ~doc:
-          "export fixed-window rollups of every experiment's event stream \
-           (queue min/mean/max, drops, delivered bytes, rate and utility \
-           aggregates per window) to $(docv) (.csv gets CSV, anything else \
-           JSONL); experiments are merged as lanes in registry order")
-
-let rollup_window =
-  Arg.(
-    value
-    & opt float 0.1
-    & info [ "rollup-window" ] ~docv:"SECONDS"
-        ~doc:"rollup window length in simulation seconds (default 0.1)")
-
-let flight_capacity =
-  Arg.(
-    value
-    & opt int 2048
-    & info [ "flight" ] ~docv:"N"
-        ~doc:
-          "keep a per-experiment flight recorder of the last $(docv) events \
-           (default 2048); dumped into the structured failure report when a \
-           supervised experiment fails. 0 disables.")
-
-let flight_dir =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "flight-dir" ] ~docv:"DIR"
-        ~doc:"directory for flight-recorder dumps (default: the temp dir)")
-
-let profile_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "profile" ] ~docv:"FILE"
-        ~doc:
-          "record a host-time span profile per experiment and write it as JSON \
-           to $(docv) (render with perf_report --profile)")
-
-let domains =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"size of the domain pool (default: \\$LIBRA_DOMAINS or core count)")
-
 let all = Arg.(value & flag & info [ "all" ] ~doc:"run every experiment")
 let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID")
 
@@ -637,10 +187,8 @@ let cmd =
   Cmd.v
     (Cmd.info "experiments" ~doc:"reproduce the paper's tables and figures")
     Term.(
-      const run_cmd $ full $ tiny $ stress $ domains $ impair $ chaos $ chaos_seed
-      $ checkpoint_dir $ resume $ inject_crash $ retries $ deadline_events
-      $ wall_deadline $ invariants $ invariant_file $ trace_out $ trace_filter
-      $ trace_sample $ metrics_out $ rollup_out $ rollup_window $ flight_capacity
-      $ flight_dir $ profile_out $ ids $ all)
+      const run_cmd $ full $ tiny $ stress $ checkpoint_dir $ resume
+      $ inject_crash $ retries $ wall_deadline $ Cli.all_term ~trace:"trace"
+      $ ids $ all)
 
 let () = exit (Cmd.eval' cmd)

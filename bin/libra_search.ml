@@ -22,12 +22,7 @@ type cca_result = {
 
 let run_cmd seed domains ccas generations population elites threshold duration
     plants out mini =
-  (match domains with
-  | Some d when d < 1 ->
-    Printf.eprintf "invalid --domains %d (want a positive integer)\n" d;
-    exit 2
-  | _ -> ());
-  Option.iter Exec.Pool.set_default_size domains;
+  Cli.set_domains domains;
   let plants =
     List.map
       (fun s ->
@@ -154,13 +149,6 @@ let run_cmd seed domains ccas generations population elites threshold duration
 
 let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc:"search root seed")
 
-let domains =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"size of the domain pool (default: \\$LIBRA_DOMAINS or core count)")
-
 let ccas =
   Arg.(
     value
@@ -223,7 +211,7 @@ let cmd =
          "adversarial scenario search: find and shrink impairment specs that \
           degrade a CCA's utility vs a clean baseline")
     Term.(
-      const run_cmd $ seed $ domains $ ccas $ generations $ population $ elites
+      const run_cmd $ seed $ Cli.domains $ ccas $ generations $ population $ elites
       $ threshold $ duration $ plants $ out $ mini)
 
 let () = exit (Cmd.eval' cmd)

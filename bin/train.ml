@@ -8,41 +8,13 @@ let sets =
   List.map (fun s -> (String.lowercase_ascii s.Rlcc.Features.set_name, s))
     Rlcc.Features.fig5_sets
 
-(* Run [f] with a tracer/metrics registry installed when exports are
-   requested (lane 0: training is a single serial loop). *)
-let with_observability ~trace_out ~trace_filter ~metrics_out ~manifest f =
-  let categories =
-    match trace_filter with
-    | None -> Obs.Category.all
-    | Some spec -> Obs.Category.parse_filter spec
-  in
-  match (trace_out, metrics_out) with
-  | None, None -> f ()
-  | _ ->
-    let tracer = Obs.Trace.create ~categories ~manifest () in
-    let reg = Obs.Metrics.create_registry () in
-    let result =
-      Obs.Trace.run tracer ~lane:0 (fun () -> Obs.Metrics.run reg f)
-    in
-    Option.iter (Obs.Trace.write tracer) trace_out;
-    Option.iter (Obs.Metrics.write_csv reg) metrics_out;
-    Option.iter
-      (fun file ->
-        Printf.printf "trace: %d events -> %s\n" (Obs.Trace.length tracer) file)
-      trace_out;
-    result
-
-let run_cmd set_name episodes steps seed randomized delta no_loss chaos chaos_seed
-    checkpoint_dir resume snapshot_every trace_out trace_filter metrics_out =
+let run_cmd set_name episodes steps seed randomized delta no_loss checkpoint_dir
+    resume snapshot_every flags =
   if resume && checkpoint_dir = None then begin
     prerr_endline "--resume requires --checkpoint DIR";
     exit 2
   end;
-  (match Chaos.Spec.of_string chaos with
-  | Ok s -> Chaos.Plane.install ~seed:chaos_seed s
-  | Error m ->
-    prerr_endline m;
-    exit 2);
+  let v = Cli.install flags in
   match List.assoc_opt set_name sets with
   | None ->
     Printf.eprintf "unknown state set %S (known: %s)\n" set_name
@@ -65,6 +37,8 @@ let run_cmd set_name episodes steps seed randomized delta no_loss chaos chaos_se
     in
     let t0 = Sys.time () in
     let manifest = Obs.Manifest.make ~seeds:[ seed ] ~scale:"cli" ~domains:1 () in
+    (* Training is one serial loop: lane 0 of the session. *)
+    let session = Cli.Session.create ~manifest v in
     (* Snapshots live in the same content-addressed store as experiment
        checkpoints, keyed by the full training configuration: resuming
        under different flags reads a different cell, never a stale
@@ -113,14 +87,10 @@ let run_cmd set_name episodes steps seed randomized delta no_loss chaos chaos_se
     in
     let snapshot_every = if store = None then 0 else snapshot_every in
     let outcome =
-      try
-        with_observability ~trace_out ~trace_filter ~metrics_out ~manifest
-          (fun () -> Rlcc.Train.run ?on_snapshot ~snapshot_every ?resume_from cfg)
-      with Chaos.Io.Fault { fault; path; detail } ->
-        (* An injected export fault must not escape as a crash. *)
-        Printf.eprintf "[train] export fault: %s at %s (%s)\n%!" fault path detail;
-        exit 6
+      Cli.Session.wrap session ~lane:0 (fun () ->
+          Rlcc.Train.run ?on_snapshot ~snapshot_every ?resume_from cfg)
     in
+    Cli.Session.export session;
     let elapsed = Sys.time () -. t0 in
     let curve = Rlcc.Train.smooth outcome.Rlcc.Train.episode_rewards in
     Printf.printf "state set %s, %d episodes x %d steps (%.1fs CPU)\n"
@@ -137,8 +107,7 @@ let run_cmd set_name episodes steps seed randomized delta no_loss chaos chaos_se
     if outcome.Rlcc.Train.rollbacks > 0 then
       Printf.printf "divergence guard: rolled back %d update(s)\n"
         outcome.Rlcc.Train.rollbacks;
-    if Chaos.Plane.surfaced () > 0 || Chaos.Plane.corrupt_detected () > 0 then 6
-    else 0
+    Cli.finish 0
 
 let set_name = Arg.(value & opt string "libra" & info [ "set" ] ~doc:"state set")
 let episodes = Arg.(value & opt int 150 & info [ "episodes" ] ~doc:"episodes")
@@ -147,21 +116,6 @@ let seed = Arg.(value & opt int 23 & info [ "seed" ] ~doc:"seed")
 let randomized = Arg.(value & flag & info [ "randomized" ] ~doc:"randomized envs")
 let delta = Arg.(value & flag & info [ "delta" ] ~doc:"train on delta-r")
 let no_loss = Arg.(value & flag & info [ "no-loss" ] ~doc:"drop the loss term")
-
-let chaos =
-  Arg.(
-    value
-    & opt string "none"
-    & info [ "chaos" ] ~docv:"SPEC"
-        ~doc:
-          "inject host faults into snapshot/export persistence (grammar as \
-           experiments --chaos); faults surface as structured errors and \
-           exit code 6, never a crash")
-
-let chaos_seed =
-  Arg.(
-    value & opt int 0
-    & info [ "chaos-seed" ] ~docv:"N" ~doc:"seed for the chaos schedule")
 
 let checkpoint_dir =
   Arg.(
@@ -186,34 +140,12 @@ let snapshot_every =
     & info [ "snapshot-every" ] ~docv:"N"
         ~doc:"episodes between snapshots (with --checkpoint)")
 
-let trace_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "export the RL step trace to $(docv) (.csv gets CSV, anything else \
-           JSONL)")
-
-let trace_filter =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-filter" ] ~docv:"CAT,.."
-        ~doc:"comma-separated event categories; default all (training emits rl)")
-
-let metrics_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE" ~doc:"export the metrics registry as CSV")
-
 let cmd =
   Cmd.v
     (Cmd.info "train" ~doc:"PPO training for the DRL-based CCA")
     Term.(
       const run_cmd $ set_name $ episodes $ steps $ seed $ randomized $ delta
-      $ no_loss $ chaos $ chaos_seed $ checkpoint_dir $ resume $ snapshot_every
-      $ trace_out $ trace_filter $ metrics_out)
+      $ no_loss $ checkpoint_dir $ resume $ snapshot_every
+      $ Cli.exports_term ~trace:"trace")
 
 let () = exit (Cmd.eval' cmd)

@@ -43,49 +43,15 @@ let is_empty s = s.items = []
 let has_kill s =
   List.exists (fun w -> match w.item with Kill_domain _ -> true | _ -> false) s.items
 
-(* ---- parsing (same shape as Faults.Spec) ---- *)
-
-let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
-
-let parse_kvs name kvs =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | kv :: rest -> (
-      match String.index_opt kv '=' with
-      | None -> fail "chaos %s: expected key=value, got %S" name kv
-      | Some i ->
-        let key = String.sub kv 0 i in
-        let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-        (match float_of_string_opt v with
-        | None -> fail "chaos key %s: %S is not a number" key v
-        | Some f -> go ((key, f) :: acc) rest))
-  in
-  go [] kvs
-
-let lookup kvs key default = Option.value ~default (List.assoc_opt key kvs)
-
-let check_keys name kvs allowed =
-  match List.find_opt (fun (k, _) -> not (List.mem k allowed)) kvs with
-  | Some (k, _) ->
-    fail "chaos %s: unknown key %S (expected one of: %s)" name k
-      (String.concat ", " allowed)
-  | None -> Ok ()
+(* ---- parsing (grammar in Grammar, shared with Faults.Spec) ---- *)
 
 let parse_item item =
-  let name, kvs_raw =
-    match String.index_opt item ':' with
-    | None -> (item, [])
-    | Some i ->
-      ( String.sub item 0 i,
-        String.split_on_char ','
-          (String.sub item (i + 1) (String.length item - i - 1)) )
-  in
   let ( let* ) = Result.bind in
-  let* kvs = parse_kvs name kvs_raw in
+  let* name, kvs = Grammar.item ~noun:"chaos" item in
   let windowed allowed mk =
-    let* () = check_keys name kvs ("from" :: "until" :: allowed) in
-    let g key default = lookup kvs key default in
-    Ok { item = mk g; from_ = g "from" 0.0; until = g "until" infinity }
+    let* () = Grammar.check_keys ~noun:"chaos" name kvs ("from" :: "until" :: allowed) in
+    let from_, until = Grammar.window kvs in
+    Ok { item = mk (Grammar.lookup kvs); from_; until }
   in
   match name with
   | "torn" ->
@@ -100,41 +66,22 @@ let parse_item item =
   | "eio" -> windowed [ "p" ] (fun g -> Eio { p = g "p" 1.0 })
   | "kill-domain" -> windowed [ "p" ] (fun g -> Kill_domain { p = g "p" 0.5 })
   | _ ->
-    fail
+    Grammar.fail
       "unknown chaos fault %S (known: torn, flip, enospc, eio, kill-domain, \
        none)"
       name
 
 let of_string s =
-  let s = String.trim s in
-  if s = "" || s = "none" then Ok empty
-  else
-    let rec go acc pos = function
-      | [] -> Ok { items = List.rev acc }
-      | item :: rest -> (
-        let item = String.trim item in
-        match parse_item item with
-        | Error m ->
-          (* Prefix the '+'-position and offending item so a malformed
-             spec pinpoints itself in a long CI log. *)
-          fail "chaos item %d (%S): %s" pos item m
-        | Ok x -> go (x :: acc) (pos + 1) rest)
-    in
-    go [] 1 (String.split_on_char '+' s)
+  Result.map
+    (fun items -> { items })
+    (Grammar.parse ~empty:"none" ~prefix:"chaos item" parse_item s)
 
 let of_string_exn s =
   match of_string s with Ok t -> t | Error m -> invalid_arg m
 
 (* ---- canonical printing ---- *)
 
-let f = Printf.sprintf "%g"
-
-let window_kvs from_ until =
-  (if from_ <> 0.0 then [ "from=" ^ f from_ ] else [])
-  @ if until <> infinity then [ "until=" ^ f until ] else []
-
-let item_to_string name kvs =
-  if kvs = [] then name else name ^ ":" ^ String.concat "," kvs
+let f = Grammar.num
 
 let windowed_to_string { item; from_; until } =
   let name, kvs =
@@ -153,8 +100,6 @@ let windowed_to_string { item; from_; until } =
     | Kill_domain { p } ->
       ("kill-domain", if p <> 0.5 then [ "p=" ^ f p ] else [])
   in
-  item_to_string name (kvs @ window_kvs from_ until)
+  Grammar.item_to_string name (kvs @ Grammar.window_kvs from_ until)
 
-let to_string s =
-  if is_empty s then "none"
-  else String.concat "+" (List.map windowed_to_string s.items)
+let to_string s = Grammar.to_string ~empty:"none" windowed_to_string s.items

@@ -324,7 +324,7 @@ let span_cycle = Obs.Span.probe "libra.finish_cycle"
 (* End of the exploitation stage: score the three candidates and adopt
    the best as the next base rate (Alg. 1 lines 20-22). *)
 let finish_cycle t ~now =
- Obs.Span.timed span_cycle @@ fun () ->
+ Obs.Span.timed span_cycle (fun now ->
   let snap_of m = Netsim.Monitor.snapshot m ~now in
   let explore = snap_of t.m_explore in
   let low = snap_of t.m_eval_low in
@@ -428,7 +428,8 @@ let finish_cycle t ~now =
            { t = now; chosen = "skip"; u_prev = nan; u_rl = nan; u_cl = nan;
              x_next = t.x_prev })
   end;
-  enter_stage t ~now Exploration
+  enter_stage t ~now Exploration)
+  now
 
 let advance t ~now =
   if now >= t.stage_end then begin
@@ -511,10 +512,14 @@ let on_ack_impl t (ack : Netsim.Cca.ack_info) =
   advance t ~now:ack.now
 
 (* Per-ACK entry point of the whole controller; gated like the heap
-   probes so the disabled path stays a branch. *)
-let on_ack t ack =
-  if Obs.Span.enabled () then Obs.Span.timed span_on_ack (fun () -> on_ack_impl t ack)
-  else on_ack_impl t ack
+   probes so the disabled path stays a branch. The CCA record applies
+   [on_ack t] once, so the profiled path reuses one [on_ack_impl t]
+   closure instead of building one per ACK. *)
+let on_ack t =
+  let impl = on_ack_impl t in
+  fun ack ->
+    if Obs.Span.enabled () then Obs.Span.timed span_on_ack impl ack
+    else on_ack_impl t ack
 
 let on_loss t (loss : Netsim.Cca.loss_info) =
   (match t.classic with

@@ -227,7 +227,7 @@ let span_map = Obs.Span.probe "pool.map"
    span structure stays pool-size independent. (Tasks executed by
    worker domains have no ambient recorder unless they install one;
    tasks the caller helps with land under this span.) *)
-let map t f arr = Obs.Span.timed span_map (fun () -> map_impl t f arr)
+let map t f arr = Obs.Span.timed span_map (map_impl t f) arr
 
 let map_list t f l = Array.to_list (map t f (Array.of_list l))
 

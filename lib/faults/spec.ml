@@ -57,57 +57,19 @@ let default_duplicate = Channel.Duplicate { p = 0.01 }
 let default_corrupt = Channel.Corrupt { p = 0.01 }
 let default_jitter = Channel.Jitter { max_delay = 0.012 }
 
-(* ---- parsing ---- *)
+(* ---- parsing (grammar in Grammar) ---- *)
 
-let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
-
-let float_of_kv key v =
-  match float_of_string_opt v with
-  | Some f -> Ok f
-  | None -> fail "impairment key %s: %S is not a number" key v
-
-(* Parse ["k=v"; ...] into an assoc list, rejecting malformed pairs. *)
-let parse_kvs name kvs =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | kv :: rest -> (
-      match String.index_opt kv '=' with
-      | None -> fail "impairment %s: expected key=value, got %S" name kv
-      | Some i ->
-        let key = String.sub kv 0 i in
-        let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-        ( match float_of_kv key v with
-        | Error _ as e -> e
-        | Ok f -> go ((key, f) :: acc) rest ))
-  in
-  go [] kvs
-
-let lookup kvs key default = Option.value ~default (List.assoc_opt key kvs)
-
-let check_keys name kvs allowed =
-  match List.find_opt (fun (k, _) -> not (List.mem k allowed)) kvs with
-  | Some (k, _) ->
-    fail "impairment %s: unknown key %S (expected one of: %s)" name k
-      (String.concat ", " allowed)
-  | None -> Ok ()
+let noun = "impairment"
 
 let parse_item item =
-  let name, kvs_raw =
-    match String.index_opt item ':' with
-    | None -> (item, [])
-    | Some i ->
-      ( String.sub item 0 i,
-        String.split_on_char ','
-          (String.sub item (i + 1) (String.length item - i - 1)) )
-  in
   let ( let* ) = Result.bind in
-  let* kvs = parse_kvs name kvs_raw in
+  let* name, kvs = Grammar.item ~noun item in
+  let lookup = Grammar.lookup kvs in
+  let check allowed = Grammar.check_keys ~noun name kvs allowed in
   let channel allowed mk =
-    let* () = check_keys name kvs ("from" :: "until" :: allowed) in
-    let g key default = lookup kvs key default in
-    Ok
-      (`Channel
-        { kind = mk g; from_ = g "from" 0.0; until = g "until" infinity })
+    let* () = check ("from" :: "until" :: allowed) in
+    let from_, until = Grammar.window kvs in
+    Ok (`Channel { kind = mk lookup; from_; until })
   in
   match name with
   | "gilbert" ->
@@ -134,71 +96,41 @@ let parse_item item =
   | "jitter" ->
     channel [ "max" ] (fun g -> Channel.Jitter { max_delay = g "max" 0.012 })
   | "outage" ->
-    let* () = check_keys name kvs [ "at"; "for" ] in
-    Ok (`Shaper (Outage { at = lookup kvs "at" 8.0; dur = lookup kvs "for" 2.0 }))
+    let* () = check [ "at"; "for" ] in
+    Ok (`Shaper (Outage { at = lookup "at" 8.0; dur = lookup "for" 2.0 }))
   | "clamp" ->
-    let* () = check_keys name kvs [ "from"; "until"; "factor" ] in
-    Ok
-      (`Shaper
-        (Clamp
-           {
-             from_ = lookup kvs "from" 0.0;
-             until = lookup kvs "until" infinity;
-             factor = lookup kvs "factor" 0.25;
-           }))
+    let* () = check [ "from"; "until"; "factor" ] in
+    let from_, until = Grammar.window kvs in
+    Ok (`Shaper (Clamp { from_; until; factor = lookup "factor" 0.25 }))
   | "flap" ->
-    let* () = check_keys name kvs [ "from"; "until"; "period"; "duty" ] in
+    let* () = check [ "from"; "until"; "period"; "duty" ] in
+    let from_, until = Grammar.window kvs in
     Ok
       (`Shaper
-        (Flap
-           {
-             from_ = lookup kvs "from" 0.0;
-             until = lookup kvs "until" infinity;
-             period = lookup kvs "period" 6.0;
-             duty = lookup kvs "duty" 0.85;
-           }))
+        (Flap { from_; until; period = lookup "period" 6.0; duty = lookup "duty" 0.85 }))
   | _ ->
-    fail
+    Grammar.fail
       "unknown impairment %S (known: gilbert, bernoulli, reorder, dup, \
        corrupt, jitter, outage, clamp, flap, clean)"
       name
 
 let of_string s =
-  let s = String.trim s in
-  if s = "" || s = "clean" then Ok empty
-  else
-    let rec go acc pos = function
-      | [] ->
-        let channels, shapers =
-          List.partition_map
-            (function `Channel c -> Left c | `Shaper sh -> Right sh)
-            (List.rev acc)
-        in
-        Ok { channels; shapers }
-      | item :: rest -> (
-        let item = String.trim item in
-        match parse_item item with
-        | Error m ->
-          (* Prefix the '+'-position and offending item so a malformed
-             spec in a long search log pinpoints itself. *)
-          fail "spec item %d (%S): %s" pos item m
-        | Ok x -> go (x :: acc) (pos + 1) rest )
-    in
-    go [] 1 (String.split_on_char '+' s)
+  Result.map
+    (fun items ->
+      let channels, shapers =
+        List.partition_map
+          (function `Channel c -> Left c | `Shaper sh -> Right sh)
+          items
+      in
+      { channels; shapers })
+    (Grammar.parse ~empty:"clean" ~prefix:"spec item" parse_item s)
 
 let of_string_exn s =
   match of_string s with Ok t -> t | Error m -> invalid_arg m
 
 (* ---- canonical printing ---- *)
 
-let f = Printf.sprintf "%g"
-
-let window_kvs from_ until =
-  (if from_ <> 0.0 then [ "from=" ^ f from_ ] else [])
-  @ if until <> infinity then [ "until=" ^ f until ] else []
-
-let item_to_string name kvs =
-  if kvs = [] then name else name ^ ":" ^ String.concat "," kvs
+let f = Grammar.num
 
 let channel_to_string { kind; from_; until } =
   let kvs =
@@ -214,22 +146,19 @@ let channel_to_string { kind; from_; until } =
     | Channel.Corrupt { p } -> [ "p=" ^ f p ]
     | Channel.Jitter { max_delay } -> [ "max=" ^ f max_delay ]
   in
-  item_to_string (Channel.kind_name kind) (kvs @ window_kvs from_ until)
+  Grammar.item_to_string (Channel.kind_name kind) (kvs @ Grammar.window_kvs from_ until)
 
 let shaper_to_string = function
-  | Outage { at; dur } -> item_to_string "outage" [ "at=" ^ f at; "for=" ^ f dur ]
+  | Outage { at; dur } -> Grammar.item_to_string "outage" [ "at=" ^ f at; "for=" ^ f dur ]
   | Clamp { from_; until; factor } ->
-    item_to_string "clamp" (window_kvs from_ until @ [ "factor=" ^ f factor ])
+    Grammar.item_to_string "clamp" (Grammar.window_kvs from_ until @ [ "factor=" ^ f factor ])
   | Flap { from_; until; period; duty } ->
-    item_to_string "flap"
-      (window_kvs from_ until @ [ "period=" ^ f period; "duty=" ^ f duty ])
+    Grammar.item_to_string "flap"
+      (Grammar.window_kvs from_ until @ [ "period=" ^ f period; "duty=" ^ f duty ])
 
 let to_string s =
-  if is_empty s then "clean"
-  else
-    String.concat "+"
-      (List.map channel_to_string s.channels
-      @ List.map shaper_to_string s.shapers)
+  Grammar.to_string ~empty:"clean" Fun.id
+    (List.map channel_to_string s.channels @ List.map shaper_to_string s.shapers)
 
 (* ---- named profiles for the robustness matrix ---- *)
 

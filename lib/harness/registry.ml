@@ -14,7 +14,7 @@ type entry = { id : string; what : string; run : unit -> Report.t; group : strin
    run attributes wall time per experiment with no per-site wiring. *)
 let e id what runner group =
   let span = Obs.Span.probe ("exp." ^ id) in
-  { id; what; run = (fun () -> Obs.Span.timed span (fun () -> Report.capture runner)); group }
+  { id; what; run = (fun () -> Obs.Span.timed span Report.capture runner); group }
 
 let group_span e = Obs.Span.probe ("group." ^ e.group)
 
@@ -166,7 +166,7 @@ let run_entries ?pool ?(wrap = fun _i run -> run ())
   let gs = Array.of_list (match entries with Some es -> es | None -> groups ()) in
   let sv = supervision in
   let run_one e =
-    Obs.Span.timed (group_span e) (fun () ->
+    Obs.Span.timed (group_span e) (fun e ->
         let key = cell_key e in
         let corrupt = ref None in
         let io_fault = ref None in
@@ -265,6 +265,7 @@ let run_entries ?pool ?(wrap = fun _i run -> run ())
           | Error f ->
             { entry = e; report = failure_report e f; failure = Some f;
               resumed = false; corrupt = !corrupt; io_fault = !io_fault }))
+      e
   in
   let outcomes =
     Exec.Pool.map pool

@@ -202,7 +202,7 @@ let span_push = Obs.Span.probe "heap.push"
    the disabled path builds no closure: one atomic load + branch, no
    allocation. *)
 let push_staged t =
-  if Obs.Span.enabled () then Obs.Span.timed span_push (fun () -> push_staged_impl t)
+  if Obs.Span.enabled () then Obs.Span.timed span_push push_staged_impl t
   else push_staged_impl t
 
 let[@inline] push t ~time action =
@@ -220,7 +220,7 @@ let[@inline] push_coded t ~time ~kind ~a ~b =
   t.st_b <- b;
   push_staged t
 
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
+let[@inline] min_time t = if t.size = 0 then infinity else fget t.times 0
 
 (* Earliest of the children [c .. last] of one node. *)
 let rec min_child times seqs c last best =
@@ -282,7 +282,7 @@ let pop_into_impl t =
 let span_pop = Obs.Span.probe "heap.pop"
 
 let pop_into t =
-  if Obs.Span.enabled () then Obs.Span.timed span_pop (fun () -> pop_into_impl t)
+  if Obs.Span.enabled () then Obs.Span.timed span_pop pop_into_impl t
   else pop_into_impl t
 
 let[@inline] scratch_time t = t.sc_time.(0)

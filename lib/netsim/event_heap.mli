@@ -39,8 +39,9 @@ val push : t -> time:float -> (unit -> unit) -> unit
     free. *)
 val push_coded : t -> time:float -> kind:int -> a:int -> b:int -> unit
 
-(** Earliest scheduled time, if any. *)
-val peek_time : t -> float option
+(** Earliest scheduled time; [infinity] when empty. Unboxed, so the
+    event loop can look before it pops. *)
+val min_time : t -> float
 
 exception Empty
 

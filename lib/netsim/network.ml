@@ -106,7 +106,7 @@ let span_run = Obs.Span.probe "netsim.run"
    Population). *)
 let run ?(seed = 42) ?(stats_bin = 0.01) ?(dup_thresh = 1) ?faults ~link ~flows
     ~duration () =
- Obs.Span.timed span_run @@ fun () ->
+ Obs.Span.timed span_run (fun () ->
   let sim = Sim.create () in
   (* Run boundary: the sim clock starts at 0, so a lane that runs
      several simulations back-to-back needs the marker to stay
@@ -163,7 +163,8 @@ let run ?(seed = 42) ?(stats_bin = 0.01) ?(dup_thresh = 1) ?faults ~link ~flows
     random_drops = Link.random_drops the_link;
     duration;
     events = Sim.events sim;
-  }
+  })
+  ()
 
 (* Overall link utilization: bytes that crossed the bottleneck divided by
    the bytes the link could have carried. *)

@@ -54,28 +54,24 @@ let stop t = t.stopped <- true
 let span_loop = Obs.Span.probe "sim.loop"
 
 let run t ~until =
+  (* Look before popping: an event past the horizon stays pending for
+     the next [run] call. *)
   let rec loop () =
-    if t.stopped || Event_heap.is_empty t.heap then ()
+    if t.stopped || Event_heap.min_time t.heap > until then ()
     else begin
       Event_heap.pop_into t.heap;
-      let time = Event_heap.scratch_time t.heap in
-      if time > until then
-        (* Put the horizon where we stopped looking. *)
-        t.clock.(0) <- until
-      else begin
-        (* One popped event = one unit of deterministic budget. *)
-        Budget.tick ();
-        t.events <- t.events + 1;
-        t.clock.(0) <- time;
-        let kind = Event_heap.scratch_kind t.heap in
-        if kind = 0 then (Event_heap.scratch_action t.heap) ()
-        else
-          t.handler kind
-            (Event_heap.scratch_a t.heap)
-            (Event_heap.scratch_b t.heap);
-        loop ()
-      end
+      (* One popped event = one unit of deterministic budget. *)
+      Budget.tick ();
+      t.events <- t.events + 1;
+      t.clock.(0) <- Event_heap.scratch_time t.heap;
+      let kind = Event_heap.scratch_kind t.heap in
+      if kind = 0 then (Event_heap.scratch_action t.heap) ()
+      else
+        t.handler kind
+          (Event_heap.scratch_a t.heap)
+          (Event_heap.scratch_b t.heap);
+      loop ()
     end
   in
-  Obs.Span.timed span_loop loop;
+  Obs.Span.timed span_loop loop ();
   if t.clock.(0) < until then t.clock.(0) <- until

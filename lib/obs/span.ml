@@ -176,16 +176,18 @@ let leave c =
   node.major_w <- node.major_w + words_between c.major0.(d) major;
   c.own <- c.own + words_between w0 (Gc.minor_words ())
 
-(* No [Fun.protect]: its closures would be allocated inside the span. *)
-let timed p f =
-  if Atomic.get n_active = 0 then f ()
+(* No [Fun.protect]: its closures would be allocated inside the span.
+   Taking [f]'s argument separately lets hot callers pass a top-level
+   function and its argument without building a closure. *)
+let timed p f x =
+  if Atomic.get n_active = 0 then f x
   else
     match !(Domain.DLS.get ctx_key) with
-    | None -> f ()
+    | None -> f x
     | Some c -> (
       let lc = c.ctx_lane in
       enter lc p;
-      match f () with
+      match f x with
       | v ->
         leave lc;
         v

@@ -42,9 +42,11 @@ val run : t -> ?lane:int -> (unit -> 'a) -> 'a
     builds no closure. *)
 val enabled : unit -> bool
 
-(** [timed p f] runs [f] inside a span for [p] on the ambient recorder
-    (no-op without one). Exception-safe: the span closes on raise. *)
-val timed : probe -> (unit -> 'a) -> 'a
+(** [timed p f x] runs [f x] inside a span for [p] on the ambient
+    recorder (no-op without one). Exception-safe: the span closes on
+    raise. The argument is separate so hot callers pass [f] and [x]
+    without building a closure. *)
+val timed : probe -> ('a -> 'b) -> 'a -> 'b
 
 (** Mask the ambient recorder around cache-dependent work (lazy policy
     pretraining): spans under it would attribute host cost to whichever

@@ -104,11 +104,13 @@ let decide t ~now =
   Features.History.push t.history obs;
   let state = Features.History.state t.history in
   let a =
-    Obs.Span.timed span_forward (fun () ->
+    Obs.Span.timed span_forward
+      (fun state ->
         if t.stochastic then
           let action, _, _ = Ppo.sample t.policy t.rng state in
           action
         else Ppo.mean_action t.policy state)
+      state
   in
   t.decisions <- t.decisions + 1;
   t.rate <-

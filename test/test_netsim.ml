@@ -280,9 +280,9 @@ let test_sim_coded_events_dispatch () =
     [ ("closure", 0.2); ("k3:7:9", 0.5); ("k1:0:42", 0.8) ]
     got
 
-(* [Sim.events] counts every executed event, closure or coded; an event
-   popped past the horizon is suppressed and never counts. The counter
-   accumulates across [run] calls. *)
+(* [Sim.events] counts every executed event, closure or coded. An event
+   past the horizon stays pending for the next [run] call, and the
+   counter accumulates across calls. *)
 let test_sim_event_counter () =
   let sim = Netsim.Sim.create () in
   Netsim.Sim.set_handler sim (fun _ _ _ -> ());
@@ -293,7 +293,21 @@ let test_sim_event_counter () =
   check_int "two events inside the horizon" 2 (Netsim.Sim.events sim);
   Netsim.Sim.at_coded sim 2.0 ~kind:1 ~a:0 ~b:0;
   Netsim.Sim.run sim ~until:10.0;
-  check_int "counter accumulates across runs" 3 (Netsim.Sim.events sim)
+  check_int "counter accumulates across runs" 4 (Netsim.Sim.events sim)
+
+(* A run in two steps fires the same events as one run: the event at
+   1.5 s is still pending after [run ~until:1.0]. *)
+let test_sim_run_in_steps () =
+  let sim = Netsim.Sim.create () in
+  let fired = ref [] in
+  Netsim.Sim.at sim 1.5 (fun () -> fired := Netsim.Sim.now sim :: !fired);
+  Netsim.Sim.run sim ~until:1.0;
+  check_int "nothing before the event" 0 (Netsim.Sim.events sim);
+  Alcotest.(check (float 0.0)) "clock at the first horizon" 1.0 (Netsim.Sim.now sim);
+  Netsim.Sim.run sim ~until:2.0;
+  Alcotest.(check (list (float 0.0))) "fired at 1.5 s" [ 1.5 ] !fired;
+  check_int "one event" 1 (Netsim.Sim.events sim);
+  Alcotest.(check (float 0.0)) "clock at the second horizon" 2.0 (Netsim.Sim.now sim)
 
 (* A coded event with no handler installed is a programming error, not
    a silent no-op. *)
@@ -682,6 +696,7 @@ let () =
           Alcotest.test_case "coded events dispatch" `Quick
             test_sim_coded_events_dispatch;
           Alcotest.test_case "event counter" `Quick test_sim_event_counter;
+          Alcotest.test_case "run in steps" `Quick test_sim_run_in_steps;
           Alcotest.test_case "coded event needs handler" `Quick
             test_sim_coded_event_needs_handler;
         ] );

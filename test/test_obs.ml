@@ -287,7 +287,7 @@ let test_span_disabled_noop () =
   let p = Obs.Span.probe "t.span.noop" in
   (* Without a recorder, timed is transparent: value through, nothing
      recorded anywhere. *)
-  check_int "value passes through" 41 (Obs.Span.timed p (fun () -> 41));
+  check_int "value passes through" 41 (Obs.Span.timed p (fun () -> 41) ());
   check_bool "still disabled" false (Obs.Span.enabled ())
 
 let test_span_nesting_structure () =
@@ -296,9 +296,11 @@ let test_span_nesting_structure () =
   let t = Obs.Span.create () in
   Obs.Span.run t ~lane:0 (fun () ->
       check_bool "enabled inside run" true (Obs.Span.enabled ());
-      Obs.Span.timed a (fun () ->
-          Obs.Span.timed b Fun.id;
-          Obs.Span.timed b Fun.id));
+      Obs.Span.timed a
+        (fun () ->
+          Obs.Span.timed b Fun.id ();
+          Obs.Span.timed b Fun.id ())
+        ());
   check_string "calling-context digest"
     "lane 0\n  t.span.a x1\n    t.span.b x2\n" (Obs.Span.structure t)
 
@@ -307,7 +309,7 @@ let test_span_exception_safety () =
   let t = Obs.Span.create () in
   (try
      Obs.Span.run t ~lane:0 (fun () ->
-         Obs.Span.timed a (fun () -> failwith "boom"))
+         Obs.Span.timed a (fun () -> failwith "boom") ())
    with Failure _ -> ());
   (* The span closed on the way out, and the recorder uninstalled. *)
   check_string "span recorded despite raise" "lane 0\n  t.span.raise x1\n"
@@ -319,10 +321,12 @@ let test_span_unobserved_masks () =
   let b = Obs.Span.probe "t.span.masked" in
   let t = Obs.Span.create () in
   Obs.Span.run t ~lane:0 (fun () ->
-      Obs.Span.timed a (fun () ->
+      Obs.Span.timed a
+        (fun () ->
           Obs.Span.unobserved (fun () ->
               check_bool "disabled inside unobserved" false (Obs.Span.enabled ());
-              Obs.Span.timed b Fun.id)));
+              Obs.Span.timed b Fun.id ()))
+        ());
   check_string "masked span dropped, outer kept"
     "lane 0\n  t.span.outer x1\n" (Obs.Span.structure t)
 
@@ -331,9 +335,9 @@ let test_span_lane_merge_and_sort () =
   let t = Obs.Span.create () in
   (* Lanes registered out of order, lane 0 twice: export sorts by lane
      id and merges same-lane contexts by call path. *)
-  Obs.Span.run t ~lane:2 (fun () -> Obs.Span.timed a Fun.id);
-  Obs.Span.run t ~lane:0 (fun () -> Obs.Span.timed a Fun.id);
-  Obs.Span.run t ~lane:0 (fun () -> Obs.Span.timed a Fun.id);
+  Obs.Span.run t ~lane:2 (fun () -> Obs.Span.timed a Fun.id ());
+  Obs.Span.run t ~lane:0 (fun () -> Obs.Span.timed a Fun.id ());
+  Obs.Span.run t ~lane:0 (fun () -> Obs.Span.timed a Fun.id ());
   check_string "sorted + merged"
     "lane 0\n  t.span.lane x2\nlane 2\n  t.span.lane x1\n"
     (Obs.Span.structure t);
@@ -345,9 +349,10 @@ let test_span_json_sanity () =
   let b = Obs.Span.probe "t.span.json.b" in
   let t = Obs.Span.create () in
   Obs.Span.run t ~lane:0 (fun () ->
-      Obs.Span.timed a (fun () ->
-          Obs.Span.timed b (fun () ->
-              ignore (Sys.opaque_identity (List.init 1000 Fun.id)))));
+      Obs.Span.timed a
+        (Obs.Span.timed b (fun () ->
+             ignore (Sys.opaque_identity (List.init 1000 Fun.id))))
+        ());
   let num k n = Option.value ~default:nan (Option.bind (Obs.Json.member k n) Obs.Json.num) in
   match Obs.Span.lanes_json t with
   | [ (0, Obs.Json.List [ root ]) ] ->
@@ -375,10 +380,12 @@ let test_span_self_cost () =
   let words body =
     let t = Obs.Span.create () in
     Obs.Span.run t ~lane:0 (fun () ->
-        Obs.Span.timed a (fun () ->
+        Obs.Span.timed a
+          (fun () ->
             for _ = 1 to 1000 do
-              Obs.Span.timed b body
-            done));
+              Obs.Span.timed b body ()
+            done)
+          ());
     let num k n = Option.value ~default:nan (Option.bind (Obs.Json.member k n) Obs.Json.num) in
     match Obs.Span.lanes_json t with
     | [ (0, Obs.Json.List [ outer ]) ] -> (
@@ -394,6 +401,36 @@ let test_span_self_cost () =
   check_bool (Printf.sprintf "inner bodies: 11 words each (got %g)" inner) true
     (inner = 11_000.0);
   check_bool (Printf.sprintf "outer = inner (got %g vs %g)" outer inner) true (outer = inner)
+
+(* Profiled heap operations hand [Span.timed] a function and its
+   argument, so no closure lands in the parent span: 1000 pushes and
+   pops (closure and coded events) add 0 minor words to it. *)
+let test_span_heap_ops_no_closure () =
+  let parent = Obs.Span.probe "t.span.heap.parent" in
+  let h = Netsim.Event_heap.create () in
+  Netsim.Event_heap.reserve h 16;
+  let t = Obs.Span.create () in
+  Obs.Span.run t ~lane:0 (fun () ->
+      Obs.Span.timed parent
+        (fun h ->
+          for _ = 1 to 500 do
+            Netsim.Event_heap.push h ~time:1.0 ignore;
+            Netsim.Event_heap.push_coded h ~time:2.0 ~kind:1 ~a:0 ~b:0;
+            Netsim.Event_heap.pop_into h;
+            Netsim.Event_heap.pop_into h
+          done)
+        h);
+  let num k n = Option.value ~default:nan (Option.bind (Obs.Json.member k n) Obs.Json.num) in
+  match Obs.Span.lanes_json t with
+  | [ (0, Obs.Json.List [ root ]) ] ->
+    check_bool
+      (Printf.sprintf "parent reads 0 words (got %g)" (num "minor_words" root))
+      true
+      (num "minor_words" root = 0.0);
+    check_string "heap spans under the parent"
+      "lane 0\n  t.span.heap.parent x1\n    heap.push x1000\n    heap.pop x1000\n"
+      (Obs.Span.structure t)
+  | _ -> Alcotest.fail "expected a single lane with a single root"
 
 (* End-to-end attribution: running a real scenario under a recorder,
    the named top-level spans must cover nearly all of the measured wall
@@ -923,6 +960,8 @@ let () =
           Alcotest.test_case "lane merge + sort" `Quick test_span_lane_merge_and_sort;
           Alcotest.test_case "json sanity" `Quick test_span_json_sanity;
           Alcotest.test_case "self-cost is zero" `Quick test_span_self_cost;
+          Alcotest.test_case "heap ops add no closure" `Quick
+            test_span_heap_ops_no_closure;
           Alcotest.test_case "attribution >= 90%" `Quick test_span_attribution;
         ] );
       ( "manifest",
